@@ -135,7 +135,7 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
 
 def _tree_params(rc: dict) -> TreeParams:
     k = rc["k"]
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise ConfigError(f"--k: branching order must be an integer >= 2, got {k}")
     mode = rc["root_mode"]
     try:
@@ -144,18 +144,23 @@ def _tree_params(rc: dict) -> TreeParams:
         raise ConfigError(f"--root-mode: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """An integer, but not a bool: JSON true/false load as Python's True/False."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_prob(rc: dict, name: str) -> float:
     value = rc[name]
     if value is None:
         raise ConfigError(f"--{name}: a probability in [0, 1] is required")
-    if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+    if not (_is_int(value) or isinstance(value, float)) or not 0.0 <= float(value) <= 1.0:
         raise ConfigError(f"--{name}: must lie in [0, 1], got {value}")
     return float(value)
 
 
 def _check_int(rc: dict, name: str, minimum: int) -> int:
     value = rc[name]
-    if not isinstance(value, int) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ConfigError(f"--{name}: integer >= {minimum} required, got {value}")
     return value
 
@@ -221,7 +226,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
         value = analytic.zebra_via_relation(params, p, _fixed_cfg(rc))
         return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
     if method == "dp":
-        depth = rc["depth"] or 0
+        depth = _check_int(rc, "depth", 0)
         if depth > 0:
             value = analytic.zebra_dp(params, p, depth)[depth].z
             base["depth"] = depth
@@ -496,7 +501,6 @@ RELATION_HEADER = "k,p,dp_limit,relation,abs_dev"
 
 
 def _suite_relation(output: str | None) -> list[tuple[str, bool, str]]:
-    path = output or "relation_deviation.csv"
     results = []
     lines = [RELATION_HEADER]
     for k in (3, 4):
@@ -532,9 +536,12 @@ def _suite_relation(output: str | None) -> list[tuple[str, bool, str]]:
                 f"max pointwise |dp-limit - relation| = {max_dev:.6f} (reported, not asserted)",
             )
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    if output is None:
+        results.append(("relation csv", True, "deviation grid not written (no --output)"))
+        return results
+    with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    results.append(("relation csv", True, f"deviation grid written to {path}"))
+    results.append(("relation csv", True, f"deviation grid written to {output}"))
     return results
 
 
@@ -682,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default=None, help=f"one of {', '.join(SUITES)}")
     sp.add_argument("--config", default=None)
     sp.add_argument("--output", default=None,
-                    help="deviation CSV path for the relation suite")
+                    help="deviation CSV path for the relation suite (not written without it)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("transform-demo", help="dump a configuration and its transform")

@@ -13,7 +13,7 @@ import enum
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,10 +21,14 @@ from . import tree
 from .analytic import NonConvergenceError, zebra_limit
 from .params import BISECTION_CONFIG, SolverConfig, TreeParams, check_probability
 from .rng import ROOT_KEY, TrialStream, child_key, derive_seed
-from .tree import EdgeState, SigmaConfig
+from .tree import EdgeState, SigmaConfig, TooLargeError
 
 #: Normal quantile for two-sided 95% intervals.
 Z95 = 1.959963984540054
+
+#: Frames of the recursion limit left to the callers of a sampler, whose
+#: search takes one frame per level.
+SAMPLER_STACK_MARGIN = 200
 
 
 class EventKind(enum.Enum):
@@ -100,6 +104,18 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 # ---------------------------------------------------------------------------
 # single-trial samplers
 
+def _check_sampler_depth(n: int) -> None:
+    """Refuse depths the recursive searches below cannot reach."""
+    if n < 1:
+        raise ValueError(f"depth must be >= 1, got {n}")
+    limit = sys.getrecursionlimit() - SAMPLER_STACK_MARGIN
+    if n > limit:
+        raise TooLargeError(
+            f"depth {n} exceeds the Monte-Carlo samplers' limit of {limit} levels "
+            f"(one stack frame per level, recursion limit {sys.getrecursionlimit()})"
+        )
+
+
 def sample_open_ray(params: TreeParams, p: float, n: int, stream: TrialStream) -> bool:
     """One Bernoulli sample of 'a descending all-open path of length n exists'.
 
@@ -107,8 +123,7 @@ def sample_open_ray(params: TreeParams, p: float, n: int, stream: TrialStream) -
     returns at the first witness ray.
     """
     check_probability(p)
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
+    _check_sampler_depth(n)
     k = params.k
     is_open = stream.is_open
 
@@ -129,8 +144,7 @@ def sample_zebra_ray(params: TreeParams, p: float, n: int, stream: TrialStream) 
     the opposite of its predecessor's sampled state.
     """
     check_probability(p)
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
+    _check_sampler_depth(n)
     k = params.k
     is_open = stream.is_open
 
@@ -152,8 +166,7 @@ def count_zebra_connected(params: TreeParams, p: float, n: int, stream: TrialStr
     Traverses the whole zebra-reachable cone (no early stop).
     """
     check_probability(p)
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
+    _check_sampler_depth(n)
     k = params.k
     is_open = stream.is_open
 
@@ -227,7 +240,25 @@ def _resolve_workers(workers: int) -> int:
     return workers if workers > 0 else (os.cpu_count() or 1)
 
 
+def __getattr__(name: str):
+    """Import ProcessPoolExecutor on first use (PEP 562).
+
+    Importing concurrent.futures adds to the start-up of every command, and
+    only runs with more than one worker use the pool. Once imported, the class
+    is an ordinary module attribute, which _map_chunks looks up on each call,
+    so a class set on the module in its place (say, one that counts pool
+    starts) is the one used.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _map_chunks(fn, params, p, event, seed, trials: int, workers: int) -> list:
+    _check_sampler_depth(event.depth)
     workers = min(_resolve_workers(workers), trials)
     if workers <= 1:
         return [fn((params, p, event, seed, 0, trials))]
@@ -236,7 +267,8 @@ def _map_chunks(fn, params, p, event, seed, trials: int, workers: int) -> list:
         (params, p, event, seed, start, min(start + step, trials))
         for start in range(0, trials, step)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    with pool_class(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -306,9 +338,18 @@ def brute_force_probability(
     For the counting event the exact expectation of X_n is returned instead of
     a probability. With exact=True the sum runs in rational arithmetic over
     the binary expansion of p and a Fraction is returned.
+
+    Reproducibility contract: configuration `code` runs over 0 .. 2**n - 1 for
+    the n edges of the truncation, bit j of `code` (least significant first)
+    holding the state, 1 open, of edge j of tree.edges (the order of
+    tree.enumerate_configs). Its term, multiplicity * p**opens *
+    (1-p)**(n-opens) with the powers built by repeated multiplication, is
+    added to the sum in increasing order of `code`, so float results are
+    bit-identical from run to run.
     """
     check_probability(p)
-    n_edges = tree.edge_count(params, event.depth)
+    roots, below = tree.edge_lists(params, event.depth)
+    n_edges = len(below)
     if exact:
         pf: Fraction | float = Fraction(p)
         one: Fraction | float = Fraction(1)
@@ -318,16 +359,14 @@ def brute_force_probability(
     q_pow = [one] + list(
         itertools.accumulate([one - pf] * n_edges, lambda acc, v: acc * v)
     )
+    alternate = event.kind is not EventKind.OPEN_RAY
+    count = event.kind is EventKind.ZEBRA_COUNT
     total = one - one
-    for sigma in tree.enumerate_configs(params, event.depth):
-        if event.kind is EventKind.OPEN_RAY:
-            weight_mult = 1 if tree.open_ray_witness(params, sigma, event.depth) else 0
-        elif event.kind is EventKind.ZEBRA_RAY:
-            weight_mult = 1 if tree.zebra_ray_witness(params, sigma, event.depth) else 0
-        else:
-            weight_mult = tree.zebra_connected_count(params, sigma, event.depth)
-        if weight_mult:
-            opens = sum(sigma.states.values())
+    for code in range(1 << n_edges):
+        ends = tree.path_ends(roots, below, code, alternate)
+        if ends:
+            weight_mult = ends if count else 1
+            opens = code.bit_count()
             total += weight_mult * p_pow[opens] * q_pow[n_edges - opens]
     return total
 

@@ -208,20 +208,65 @@ def phi_of_sigma(params: TreeParams, sigma: SigmaConfig) -> PhiConfig:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
+def _enumerable_edges(params: TreeParams, depth: int) -> list[Address]:
+    n_edges = edge_count(params, depth)
+    if n_edges > MAX_ENUM_EDGES:
+        raise TooLargeError(
+            f"{n_edges} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}"
+        )
+    return edges(params, depth)
+
+
 def enumerate_configs(params: TreeParams, depth: int) -> Iterator[SigmaConfig]:
     """Yield every bond configuration of the depth-truncation exactly once.
 
-    Order is binary counting over the lexicographically sorted edge list with
-    the least significant bit on the first edge, so runs are bit-reproducible.
+    Reproducibility contract: the configurations come in increasing order of
+    their code, an integer below 2**edge_count whose bit j (least significant
+    first) is the state, 1 open, of edge j of edges(params, depth), the
+    lexicographically sorted edge list. The code-th configuration yielded is
+    the one path_ends and brute-force sums see as `code`.
     """
-    edge_list = edges(params, depth)
-    if len(edge_list) > MAX_ENUM_EDGES:
-        raise TooLargeError(
-            f"{len(edge_list)} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}"
-        )
+    edge_list = _enumerable_edges(params, depth)
     for code in range(1 << len(edge_list)):
         states = {e: EdgeState((code >> j) & 1) for j, e in enumerate(edge_list)}
         yield SigmaConfig(depth=depth, states=states)
+
+
+def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int]]]:
+    """Child-edge indices of the depth-truncation, for configurations held as codes.
+
+    Edge j is edges(params, depth)[j]. Returns the indices of the edges below
+    the root and, for each edge j, the indices of the edges just below its
+    lower endpoint (empty on the last level). Raises TooLargeError past
+    MAX_ENUM_EDGES edges, before any edge is listed.
+    """
+    edge_list = _enumerable_edges(params, depth)
+    index = {e: j for j, e in enumerate(edge_list)}
+    below = [
+        [index[c] for c in children(params, e)] if len(e) < depth else []
+        for e in edge_list
+    ]
+    return [index[c] for c in children(params, ROOT)], below
+
+
+def path_ends(roots: list[int], below: list[list[int]], code: int, alternate: bool) -> int:
+    """Number of last-level edges whose path from the root follows the rule in `code`.
+
+    `roots` and `below` come from edge_lists and `code` is a configuration
+    (bit j is the state of edge j). With alternate=False every edge of the
+    path must be open (an open ray); with alternate=True the first edge may
+    take either state and every later edge the opposite of the one above it
+    (a zebra path). The walk goes one level at a time.
+    """
+    if alternate:
+        frontier = roots
+        while frontier and below[frontier[0]]:
+            frontier = [c for j in frontier for c in below[j] if (code >> c ^ code >> j) & 1]
+    else:
+        frontier = [j for j in roots if code >> j & 1]
+        while frontier and below[frontier[0]]:
+            frontier = [c for j in frontier for c in below[j] if code >> c & 1]
+    return len(frontier)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import zebraperc
 from zebraperc.cli import CSV_HEADER, main
 
 
@@ -12,6 +13,13 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**extra):
+    """os.environ for a child interpreter, with this zebraperc first on its path."""
+    src = os.path.dirname(os.path.dirname(zebraperc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 class TestEval:
@@ -104,6 +112,19 @@ class TestExitCodes:
                                       "--depth", "3"])
         assert code == 4
 
+    def test_mc_depth_beyond_the_samplers(self, capsys):
+        code, out, err = run_cli(capsys, ["eval", "--k", "2", "--p", "1.0", "--method", "mc",
+                                          "--event", "open", "--depth", "2000", "--trials", "1"])
+        assert code == 4
+        assert out == ""
+        assert "depth 2000" in err and "Traceback" not in err
+
+    def test_deep_mc_within_the_samplers(self, capsys):
+        code, out, _ = run_cli(capsys, ["eval", "--k", "2", "--p", "1.0", "--method", "mc",
+                                        "--event", "open", "--depth", "500", "--trials", "1"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3:6] == ["500", "mc-open", "1"]
+
     def test_no_bracket(self, capsys):
         code, _, err = run_cli(capsys, ["critical", "--k", "2", "--mode", "zebra-dp"])
         assert code == 5
@@ -195,6 +216,13 @@ class TestVerify:
         assert lines[0] == "k,p,dp_limit,relation,abs_dev"
         assert len(lines) == 1 + 2 * 101
 
+    def test_relation_suite_writes_no_csv_by_default(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "relation"])
+        assert code == 0
+        assert "PASS relation csv: deviation grid not written (no --output)" in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--suite", "nope"])
         assert code == 2
@@ -257,6 +285,23 @@ class TestConfigPrecedence:
         assert code == 0
         assert out.splitlines()[1].startswith("2,rooted-k,0.75,0,closed-form")
 
+    @pytest.mark.parametrize("config,field", [
+        ({"depth": True, "trials": True}, "--depth"),
+        ({"trials": True}, "--trials"),
+        ({"seed": False}, "--seed"),
+        ({"k": True}, "--k"),
+        ({"p": True}, "--p"),
+        ({"method": "dp", "depth": True}, "--depth"),
+    ])
+    def test_json_booleans_rejected(self, capsys, tmp_path, config, field):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 3, "p": 0.5, "method": "mc", "event": "zebra",
+                                   "depth": 2, "trials": 10, **config}))
+        code, out, err = run_cli(capsys, ["eval", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert f"error: {field}:" in err
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mystery": 1}))
@@ -264,6 +309,16 @@ class TestConfigPrecedence:
                                         "--p", "0.5", "--method", "dp"])
         assert code == 2
         assert "mystery" in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        code = ("import sys, zebraperc.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'concurrent' or m.startswith('multiprocessing')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestThreadEnvironment:
@@ -274,7 +329,7 @@ class TestThreadEnvironment:
         outputs = set()
         for threads in ("1", "2"):
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  env={**os.environ, "ZEBRA_PERC_THREADS": threads})
+                                  env=child_env(ZEBRA_PERC_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1

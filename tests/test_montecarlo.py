@@ -28,7 +28,13 @@ from zebraperc.montecarlo import (
 )
 from zebraperc.params import SolverConfig
 from zebraperc.rng import TrialStream
-from zebraperc.tree import open_ray_witness, zebra_connected_count, zebra_ray_witness
+from zebraperc.tree import (
+    edge_count,
+    enumerate_configs,
+    open_ray_witness,
+    zebra_connected_count,
+    zebra_ray_witness,
+)
 
 P2 = TreeParams(2)
 P3 = TreeParams(3)
@@ -134,7 +140,54 @@ class TestEstimators:
         assert covered >= 28
 
 
+def witness_sum(params, p, event, exact):
+    """The oracle's sum the long way: explicit configurations and witness searches.
+
+    Terms are added in enumeration order with powers built by repeated
+    multiplication, so a float result must equal the oracle's bit for bit.
+    """
+    pf, one = (Fraction(p), Fraction(1)) if exact else (p, 1.0)
+    n_edges = edge_count(params, event.depth)
+    p_pow, q_pow = [one], [one]
+    for _ in range(n_edges):
+        p_pow.append(p_pow[-1] * pf)
+        q_pow.append(q_pow[-1] * (one - pf))
+    total = one - one
+    for sigma in enumerate_configs(params, event.depth):
+        if event.kind is EventKind.OPEN_RAY:
+            mult = int(open_ray_witness(params, sigma, event.depth) is not None)
+        elif event.kind is EventKind.ZEBRA_RAY:
+            mult = int(zebra_ray_witness(params, sigma, event.depth) is not None)
+        else:
+            mult = zebra_connected_count(params, sigma, event.depth)
+        if mult:
+            opens = sum(sigma.states.values())
+            total += mult * p_pow[opens] * q_pow[n_edges - opens]
+    return total
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("params,depth", [
+        (P2, 1), (P2, 2), (P3, 1), (TreeParams(2, RootMode.FULL_CAYLEY), 1),
+    ])
+    def test_equals_witness_sum(self, params, depth, kind, exact):
+        event = EventSpec(kind, depth)
+        for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0):
+            value = brute_force_probability(params, p, event, exact=exact)
+            assert type(value) is (Fraction if exact else float)
+            assert value == witness_sum(params, p, event, exact)
+
+    @pytest.mark.parametrize("kind,p,exact", [
+        (EventKind.ZEBRA_COUNT, 0.8, False), (EventKind.ZEBRA_RAY, 0.5, True),
+    ])
+    def test_equals_witness_sum_on_2_pow_14_configs(self, kind, p, exact):
+        event = EventSpec(kind, 3)
+        value = brute_force_probability(P2, p, event, exact=exact)
+        assert type(value) is (Fraction if exact else float)
+        assert value == witness_sum(P2, p, event, exact)
+
     def test_exact_reference_value(self):
         assert brute_force_probability(P2, 0.5, zebra_ray(2), exact=True) == Fraction(15, 16)
 
