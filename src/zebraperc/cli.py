@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .params import (
     BISECTION_CONFIG,
     FIXED_POINT_CONFIG,
     LIMIT_CONFIG,
+    MC_BISECTION_CONFIG,
     RootMode,
     SolverConfig,
     TreeParams,
@@ -165,18 +167,18 @@ def _check_int(rc: dict, name: str, minimum: int) -> int:
     return value
 
 
-def _fixed_cfg(rc: dict) -> SolverConfig:
-    return SolverConfig(
-        tol=rc["tol"] if rc["tol"] is not None else FIXED_POINT_CONFIG.tol,
-        max_iter=rc["max_iter"] if rc["max_iter"] is not None else FIXED_POINT_CONFIG.max_iter,
-    )
-
-
-def _limit_cfg(rc: dict) -> SolverConfig:
-    return SolverConfig(
-        tol=rc["tol"] if rc["tol"] is not None else LIMIT_CONFIG.tol,
-        max_iter=rc["max_iter"] if rc["max_iter"] is not None else LIMIT_CONFIG.max_iter,
-    )
+def _solver_cfg(rc: dict, default: SolverConfig) -> SolverConfig:
+    """--tol and --max-iter over the defaults of the solve they configure."""
+    tol, max_iter = rc["tol"], rc["max_iter"]
+    if tol is None:
+        tol = default.tol
+    elif not (_is_int(tol) or isinstance(tol, float)) or not 0.0 < tol < math.inf:
+        raise ConfigError(f"--tol: a positive finite number required, got {tol}")
+    if max_iter is None:
+        max_iter = default.max_iter
+    elif not _is_int(max_iter) or max_iter < 1:
+        raise ConfigError(f"--max-iter: integer >= 1 required, got {max_iter}")
+    return SolverConfig(tol=tol, max_iter=max_iter)
 
 
 def _workers_from_env() -> int:
@@ -220,10 +222,10 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
         value = analytic.theta_closed_form(params.k, p)
         return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
     if method == "fixed-point":
-        value = analytic.theta_fixed_point(params, p, _fixed_cfg(rc))
+        value = analytic.theta_fixed_point(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG))
         return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
     if method == "relation":
-        value = analytic.zebra_via_relation(params, p, _fixed_cfg(rc))
+        value = analytic.zebra_via_relation(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG))
         return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
     if method == "dp":
         depth = _check_int(rc, "depth", 0)
@@ -231,7 +233,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
             value = analytic.zebra_dp(params, p, depth)[depth].z
             base["depth"] = depth
         else:
-            value = analytic.zebra_limit(params, p, _limit_cfg(rc))
+            value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
         return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
 
     event_name = rc["event"]
@@ -351,6 +353,12 @@ def cmd_critical(args: argparse.Namespace) -> int:
     mode = rc["mode"]
     if mode not in ("standard", "zebra-dp", "zebra-mc"):
         raise ConfigError(f"--mode: one of standard, zebra-dp, zebra-mc, got {mode!r}")
+    if mode == "zebra-dp":
+        cfg = _solver_cfg(rc, BISECTION_CONFIG)
+    elif mode == "zebra-mc":
+        cfg = _solver_cfg(rc, MC_BISECTION_CONFIG)
+        depth, trials = _check_int(rc, "depth", 1), _check_int(rc, "trials", 1)
+        seed, workers = _check_int(rc, "seed", 0), _workers_from_env()
     writer = _Writer(rc["output"])
     try:
         writer.line(CRITICAL_HEADER)
@@ -362,20 +370,10 @@ def cmd_critical(args: argparse.Namespace) -> int:
         references = {Side.LOWER: pair.p_low, Side.UPPER: pair.p_high}
         for side in (Side.LOWER, Side.UPPER):
             if mode == "zebra-dp":
-                cfg = SolverConfig(
-                    tol=rc["tol"] if rc["tol"] is not None else BISECTION_CONFIG.tol,
-                    max_iter=rc["max_iter"] or BISECTION_CONFIG.max_iter,
-                )
                 located = montecarlo.find_critical_dp(params, side, cfg)
             else:
-                cfg = SolverConfig(
-                    tol=rc["tol"] if rc["tol"] is not None else 1 / 256,
-                    max_iter=rc["max_iter"] or 10**4,
-                )
                 located = montecarlo.find_critical_mc(
-                    params, side, _check_int(rc, "depth", 1),
-                    _check_int(rc, "trials", 1), _check_int(rc, "seed", 0),
-                    cfg, workers=_workers_from_env(),
+                    params, side, depth, trials, seed, cfg, workers=workers
                 )
             ref = references[side]
             writer.line(

@@ -1,10 +1,12 @@
 """Randomized estimation of tree-percolation events with reproducible streams.
 
-Bonds are sampled lazily at first visit during depth-first search, existence
-searches stop at the first witness, and every outcome is a pure function of
-(seed, trial index, bond address). Estimates are folds over per-trial
-outcomes with integer merges, so they are identical for any worker count and
-any execution order.
+Every outcome is a pure function of (seed, trial index, bond address). Trials
+run in batches through the packed-lane kernel (kernel.py), which draws the
+bonds of many trials per big-integer step: existence events by a lockstep
+depth-first search that stops each trial at its first witness, the counting
+event by a walk over the whole zebra cone. Estimates are folds over per-trial
+outcomes with integer merges, so they are identical for any worker count,
+any batch size and any execution order.
 """
 
 from __future__ import annotations
@@ -19,15 +21,20 @@ from fractions import Fraction
 
 from . import tree
 from .analytic import NonConvergenceError, zebra_limit
-from .params import BISECTION_CONFIG, SolverConfig, TreeParams, check_probability
-from .rng import ROOT_KEY, TrialStream, child_key, derive_seed
+from .params import (
+    BISECTION_CONFIG,
+    MC_BISECTION_CONFIG,
+    SolverConfig,
+    TreeParams,
+    check_probability,
+)
+from .rng import TrialStream, derive_seed
 from .tree import EdgeState, SigmaConfig, TooLargeError
 
 #: Normal quantile for two-sided 95% intervals.
 Z95 = 1.959963984540054
 
-#: Frames of the recursion limit left to the callers of a sampler, whose
-#: search takes one frame per level.
+#: The samplers refuse depths above the recursion limit less this margin.
 SAMPLER_STACK_MARGIN = 200
 
 
@@ -105,36 +112,32 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 # single-trial samplers
 
 def _check_sampler_depth(n: int) -> None:
-    """Refuse depths the recursive searches below cannot reach."""
+    """Refuse Monte-Carlo depths past the samplers' level limit, before any bond is drawn."""
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     limit = sys.getrecursionlimit() - SAMPLER_STACK_MARGIN
     if n > limit:
         raise TooLargeError(
             f"depth {n} exceeds the Monte-Carlo samplers' limit of {limit} levels "
-            f"(one stack frame per level, recursion limit {sys.getrecursionlimit()})"
+            f"(the recursion limit {sys.getrecursionlimit()} less {SAMPLER_STACK_MARGIN})"
         )
+
+
+def _one_trial_hit(params: TreeParams, p: float, n: int, stream: TrialStream,
+                   alternate: bool) -> bool:
+    check_probability(p)
+    _check_sampler_depth(n)
+    from . import kernel
+
+    return bool(kernel.ray_hits(params, p, n, [stream.base], alternate))
 
 
 def sample_open_ray(params: TreeParams, p: float, n: int, stream: TrialStream) -> bool:
     """One Bernoulli sample of 'a descending all-open path of length n exists'.
 
-    Bonds are drawn lazily, each exactly once at its first visit; the search
-    returns at the first witness ray.
+    The search stops at the first witness ray.
     """
-    check_probability(p)
-    _check_sampler_depth(n)
-    k = params.k
-    is_open = stream.is_open
-
-    def search(key: int, arity: int, remaining: int) -> bool:
-        for i in range(arity):
-            ck = child_key(key, i)
-            if is_open(ck, p) and (remaining == 1 or search(ck, k, remaining - 1)):
-                return True
-        return False
-
-    return search(ROOT_KEY, params.root_degree, n)
+    return _one_trial_hit(params, p, n, stream, False)
 
 
 def sample_zebra_ray(params: TreeParams, p: float, n: int, stream: TrialStream) -> bool:
@@ -143,21 +146,7 @@ def sample_zebra_ray(params: TreeParams, p: float, n: int, stream: TrialStream) 
     The first edge may take either state; below the root each edge must take
     the opposite of its predecessor's sampled state.
     """
-    check_probability(p)
-    _check_sampler_depth(n)
-    k = params.k
-    is_open = stream.is_open
-
-    def search(key: int, arity: int, want_open: bool | None, remaining: int) -> bool:
-        for i in range(arity):
-            ck = child_key(key, i)
-            o = is_open(ck, p)
-            if want_open is None or o is want_open:
-                if remaining == 1 or search(ck, k, not o, remaining - 1):
-                    return True
-        return False
-
-    return search(ROOT_KEY, params.root_degree, None, n)
+    return _one_trial_hit(params, p, n, stream, True)
 
 
 def count_zebra_connected(params: TreeParams, p: float, n: int, stream: TrialStream) -> int:
@@ -167,70 +156,62 @@ def count_zebra_connected(params: TreeParams, p: float, n: int, stream: TrialStr
     """
     check_probability(p)
     _check_sampler_depth(n)
-    k = params.k
-    is_open = stream.is_open
+    from . import kernel
 
-    def walk(key: int, arity: int, want_open: bool | None, remaining: int) -> int:
-        total = 0
-        for i in range(arity):
-            ck = child_key(key, i)
-            o = is_open(ck, p)
-            if want_open is None or o is want_open:
-                if remaining == 1:
-                    total += 1
-                else:
-                    total += walk(ck, k, not o, remaining - 1)
-        return total
+    return kernel.zebra_counts(params, p, n, [stream.base])[stream.base]
 
-    return walk(ROOT_KEY, params.root_degree, None, n)
+
+_EDGE_STATES = (EdgeState.CLOSED, EdgeState.OPEN)
 
 
 def sample_sigma(params: TreeParams, depth: int, p: float, stream: TrialStream) -> SigmaConfig:
     """Materialize a full bond configuration of the depth-truncation.
 
-    Uses the same per-bond derivation as the lazy samplers, so the explicit
-    configuration agrees bond-for-bond with what a search would have drawn.
+    Each level is one kernel expansion of the level above, so the explicit
+    configuration agrees bond for bond with what a sampler would have drawn.
     """
     check_probability(p)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    is_open = stream.is_open
+    from . import kernel
+
     states: dict[tree.Address, EdgeState] = {}
-
-    def walk(v: tree.Address, key: int, remaining: int) -> None:
-        for i in range(tree.degree(params, v)):
-            ck = child_key(key, i)
-            cv = v + (i,)
-            states[cv] = EdgeState.OPEN if is_open(ck, p) else EdgeState.CLOSED
-            if remaining > 1:
-                walk(cv, ck, remaining - 1)
-
-    walk(tree.ROOT, ROOT_KEY, depth)
+    for level, flags in enumerate(kernel.level_flags(params, p, depth, stream.base), start=1):
+        states.update(zip(tree.vertices_at_level(params, level),
+                          map(_EDGE_STATES.__getitem__, flags)))
     return SigmaConfig(depth=depth, states=states)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
+def _chunk_bases(seed: int, start: int, stop: int):
+    """Trial base words of trials start .. stop-1, in kernel batches."""
+    from . import kernel
+
+    for first in range(start, stop, kernel.TRIAL_BATCH):
+        last = min(first + kernel.TRIAL_BATCH, stop)
+        yield [TrialStream(seed, t).base for t in range(first, last)]
+
+
 def _bernoulli_chunk(args) -> int:
     params, p, event, seed, start, stop = args
-    sampler = sample_open_ray if event.kind is EventKind.OPEN_RAY else sample_zebra_ray
-    n = event.depth
-    hits = 0
-    for t in range(start, stop):
-        if sampler(params, p, n, TrialStream(seed, t)):
-            hits += 1
-    return hits
+    from . import kernel
+
+    alternate = event.kind is EventKind.ZEBRA_RAY
+    return sum(len(kernel.ray_hits(params, p, event.depth, bases, alternate))
+               for bases in _chunk_bases(seed, start, stop))
 
 
 def _count_chunk(args) -> tuple[int, int]:
     params, p, event, seed, start, stop = args
-    n = event.depth
+    from . import kernel
+
     total = total_sq = 0
-    for t in range(start, stop):
-        x = count_zebra_connected(params, p, n, TrialStream(seed, t))
-        total += x
-        total_sq += x * x
+    for bases in _chunk_bases(seed, start, stop):
+        counts = kernel.zebra_counts(params, p, event.depth, bases).values()
+        total += sum(counts)
+        total_sq += sum(x * x for x in counts)
     return total, total_sq
 
 
@@ -245,7 +226,7 @@ def __getattr__(name: str):
 
     Importing concurrent.futures adds to the start-up of every command, and
     only runs with more than one worker use the pool. Once imported, the class
-    is an ordinary module attribute, which _map_chunks looks up on each call,
+    is an ordinary module attribute, which _pool_class looks up on each call,
     so a class set on the module in its place (say, one that counts pool
     starts) is the one used.
     """
@@ -257,7 +238,11 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-def _map_chunks(fn, params, p, event, seed, trials: int, workers: int) -> list:
+def _pool_class():
+    return globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+
+
+def _map_chunks(fn, params, p, event, seed, trials: int, workers: int, executor=None) -> list:
     _check_sampler_depth(event.depth)
     workers = min(_resolve_workers(workers), trials)
     if workers <= 1:
@@ -267,8 +252,9 @@ def _map_chunks(fn, params, p, event, seed, trials: int, workers: int) -> list:
         (params, p, event, seed, start, min(start + step, trials))
         for start in range(0, trials, step)
     ]
-    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    with pool_class(max_workers=workers) as pool:
+    if executor is not None:
+        return list(executor.map(fn, jobs))
+    with _pool_class()(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -279,19 +265,22 @@ def estimate_probability(
     trials: int,
     seed: int,
     workers: int = 1,
+    executor=None,
 ) -> Estimate:
     """Monte-Carlo estimate of an existence event with a Wilson 95% interval.
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
-    wall time. Counting events go through `estimate_count`.
+    wall time. With more than one worker the chunks run on `executor`, an
+    open process pool of at least `workers` processes, or else on a pool
+    started for this call. Counting events go through `estimate_count`.
     """
     check_probability(p)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if event.kind is EventKind.ZEBRA_COUNT:
         raise ValueError("estimate_probability handles existence events; use estimate_count")
-    hits = sum(_map_chunks(_bernoulli_chunk, params, p, event, seed, trials, workers))
+    hits = sum(_map_chunks(_bernoulli_chunk, params, p, event, seed, trials, workers, executor))
     mean = hits / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
     low, high = wilson_interval(hits, trials)
@@ -336,13 +325,15 @@ def brute_force_probability(
     """Event probability by summation over all configurations of the truncation.
 
     For the counting event the exact expectation of X_n is returned instead of
-    a probability. With exact=True the sum runs in rational arithmetic over
-    the binary expansion of p and a Fraction is returned.
+    a probability. With exact=True a Fraction is returned, exact for the
+    binary expansion of p: the multiplicities are added up as integers per
+    number of open edges, and each such tally is weighted once by Fraction
+    powers of p and 1-p.
 
     Reproducibility contract: configuration `code` runs over 0 .. 2**n - 1 for
     the n edges of the truncation, bit j of `code` (least significant first)
     holding the state, 1 open, of edge j of tree.edges (the order of
-    tree.enumerate_configs). Its term, multiplicity * p**opens *
+    tree.enumerate_configs). In floats its term, multiplicity * p**opens *
     (1-p)**(n-opens) with the powers built by repeated multiplication, is
     added to the sum in increasing order of `code`, so float results are
     bit-identical from run to run.
@@ -350,18 +341,23 @@ def brute_force_probability(
     check_probability(p)
     roots, below = tree.edge_lists(params, event.depth)
     n_edges = len(below)
-    if exact:
-        pf: Fraction | float = Fraction(p)
-        one: Fraction | float = Fraction(1)
-    else:
-        pf, one = p, 1.0
-    p_pow = [one] + list(itertools.accumulate([pf] * n_edges, lambda acc, v: acc * v))
-    q_pow = [one] + list(
-        itertools.accumulate([one - pf] * n_edges, lambda acc, v: acc * v)
-    )
     alternate = event.kind is not EventKind.OPEN_RAY
     count = event.kind is EventKind.ZEBRA_COUNT
-    total = one - one
+    if exact:
+        tally = [0] * (n_edges + 1)
+        for code in range(1 << n_edges):
+            ends = tree.path_ends(roots, below, code, alternate)
+            if ends:
+                tally[code.bit_count()] += ends if count else 1
+        pf = Fraction(p)
+        return sum(
+            (mult * pf**opens * (1 - pf) ** (n_edges - opens)
+             for opens, mult in enumerate(tally) if mult),
+            Fraction(0),
+        )
+    p_pow = [1.0] + list(itertools.accumulate([p] * n_edges, lambda acc, v: acc * v))
+    q_pow = [1.0] + list(itertools.accumulate([1.0 - p] * n_edges, lambda acc, v: acc * v))
+    total = 0.0
     for code in range(1 << n_edges):
         ends = tree.path_ends(roots, below, code, alternate)
         if ends:
@@ -429,7 +425,7 @@ def find_critical_mc(
     depth: int,
     trials: int,
     seed: int,
-    cfg: SolverConfig = SolverConfig(tol=1 / 256, max_iter=10**4),
+    cfg: SolverConfig = MC_BISECTION_CONFIG,
     workers: int = 1,
 ) -> float:
     """Monte-Carlo counterpart of find_critical_dp, a finite-depth proxy.
@@ -438,20 +434,29 @@ def find_critical_mc(
     depth-dependent detection level'. The located point sits slightly inside
     the true interval, with bias shrinking as the probe depth grows. Every
     indicator evaluation uses its own sub-seed, so the search is reproducible.
+    With more than one worker, one process pool serves every probe and is
+    shut down when the search returns.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_sampler_depth(depth)
     tau = mc_indicator_threshold(params, depth)
     event = zebra_ray(depth)
     counter = itertools.count()
 
-    def positive(p: float) -> bool:
-        est = estimate_probability(
-            params, p, event, trials, derive_seed(seed, next(counter)), workers=workers
-        )
-        return est.mean > tau
+    def bisect(executor) -> float:
+        def positive(p: float) -> bool:
+            est = estimate_probability(
+                params, p, event, trials, derive_seed(seed, next(counter)),
+                workers=workers, executor=executor,
+            )
+            return est.mean > tau
 
-    return _bisect_indicator(params, side, positive, cfg.tol)
+        return _bisect_indicator(params, side, positive, cfg.tol)
+
+    pool_size = min(_resolve_workers(workers), trials)
+    if pool_size <= 1:
+        return bisect(None)
+    with _pool_class()(max_workers=pool_size) as executor:
+        return bisect(executor)
 
 
 def _bisect_indicator(params: TreeParams, side: Side, positive, tol: float) -> float:

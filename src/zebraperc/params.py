@@ -49,6 +49,7 @@ class SolverConfig:
 FIXED_POINT_CONFIG = SolverConfig(tol=1e-12, max_iter=10**6)
 LIMIT_CONFIG = SolverConfig(tol=1e-10, max_iter=10**5)
 BISECTION_CONFIG = SolverConfig(tol=1e-4, max_iter=10**4)
+MC_BISECTION_CONFIG = SolverConfig(tol=1 / 256, max_iter=10**4)
 
 
 def check_probability(value: float, name: str = "p") -> float:

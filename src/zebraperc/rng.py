@@ -8,7 +8,13 @@ platform.
 
   address key:  root = ROOT_KEY; child i of key x = mix64(x ^ (i+1)*GOLDEN)
   trial base:   mix64(mix64(seed) + (trial+1)*GOLDEN)
-  bond uniform: mix64(base ^ address_key) * 2**-64
+  bond word:    mix64(base ^ address_key)
+  bond uniform: word * 2**-64, the word rounded to a double
+  bond open:    uniform < p, which holds exactly when word < y, for y the
+                least integer with y * 2**-64 >= p (kernel.open_threshold)
+
+The integer form of the open test is what the batched kernel evaluates; the
+two agree on every word and every p in [0, 1], so both give the same bonds.
 """
 
 from __future__ import annotations
@@ -49,25 +55,28 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class TrialStream:
-    """Bond randomness for one trial; values depend only on (seed, trial, bond)."""
+    """Bond randomness for one trial; values depend only on (seed, trial, bond).
 
-    __slots__ = ("seed", "trial", "_base")
+    `base` is the trial base word of the contract above.
+    """
+
+    __slots__ = ("seed", "trial", "base")
 
     def __init__(self, seed: int, trial: int) -> None:
         self.seed = seed & _MASK
         self.trial = trial
-        self._base = mix64((mix64(self.seed) + ((trial + 1) * _GOLDEN)) & _MASK)
+        self.base = mix64((mix64(self.seed) + ((trial + 1) * _GOLDEN)) & _MASK)
 
     def uniform(self, edge_key: int) -> float:
         """Uniform [0, 1) draw for the bond with the given address key."""
-        x = self._base ^ edge_key
+        x = self.base ^ edge_key
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
         return (x ^ (x >> 31)) * _TO_UNIT
 
     def is_open(self, edge_key: int, p: float) -> bool:
         """Bernoulli(p) bond state derived from `uniform(edge_key) < p`."""
-        x = self._base ^ edge_key
+        x = self.base ^ edge_key
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
         return (x ^ (x >> 31)) * _TO_UNIT < p

@@ -302,6 +302,40 @@ class TestConfigPrecedence:
         assert out == ""
         assert f"error: {field}:" in err
 
+    @pytest.mark.parametrize("config,field", [
+        ({"tol": "x"}, "--tol"),
+        ({"tol": True}, "--tol"),
+        ({"tol": 0}, "--tol"),
+        ({"tol": -1e-9}, "--tol"),
+        ({"max_iter": True}, "--max-iter"),
+        ({"max_iter": 0}, "--max-iter"),
+        ({"max_iter": 2.5}, "--max-iter"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "3", "--p", "0.5", "--method", "fixed-point"],
+        ["eval", "--k", "3", "--p", "0.5", "--method", "relation"],
+        ["eval", "--k", "3", "--p", "0.5", "--method", "dp"],
+        ["critical", "--k", "3", "--mode", "zebra-dp"],
+        ["critical", "--k", "3", "--mode", "zebra-mc", "--depth", "2", "--trials", "10"],
+    ])
+    def test_solver_settings_validated(self, capsys, tmp_path, config, field, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert f"error: {field}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--k", "3", "--mode", "zebra-dp", "--max-iter", "0"],
+        ["eval", "--k", "3", "--p", "0.5", "--method", "dp", "--tol", "0"],
+    ])
+    def test_solver_flags_validated(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "error: --max-iter:" in err or "error: --tol:" in err
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mystery": 1}))
@@ -314,7 +348,8 @@ class TestConfigPrecedence:
 class TestStartup:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = ("import sys, zebraperc.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'concurrent' or m.startswith('multiprocessing')))")
+                "if m.split('.')[0] in ('concurrent', 'numpy') or m.startswith('multiprocessing') "
+                "or m == 'zebraperc.kernel'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=child_env())
         assert proc.returncode == 0, proc.stderr
