@@ -11,6 +11,9 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,14 +37,35 @@ from .tree import TooLargeError
 
 CSV_HEADER = "k,root_mode,p,depth,method,value,ci_low,ci_high,trials,seed"
 
-ANALYTIC_METHODS = ("closed-form", "fixed-point", "dp", "relation")
-SAMPLING_METHODS = ("mc", "brute-force")
 EVENT_KINDS = {
     "open": EventKind.OPEN_RAY,
     "zebra": EventKind.ZEBRA_RAY,
     "zebra-count": EventKind.ZEBRA_COUNT,
 }
-SUITES = ("closed-form", "inverse", "oracle", "transform", "relation", "all")
+#: Fields that take one of a fixed set of strings, from a flag or from --config.
+CHOICES = {
+    "method": ("closed-form", "fixed-point", "dp", "relation", "mc", "brute-force"),
+    "event": tuple(EVENT_KINDS),
+    "format": ("csv", "json"),
+    "mode": ("standard", "zebra-dp", "zebra-mc"),
+    "suite": ("closed-form", "inverse", "oracle", "transform", "relation", "all"),
+}
+#: Numeric fields, checked where they are used; `exact` is a boolean and every
+#: other field a string.
+_TYPES = {
+    "k": int, "p": float, "pmin": float, "pmax": float, "steps": int, "depth": int,
+    "trials": int, "seed": int, "tol": float, "max_iter": int,
+}
+_HELP = {
+    **{name: "one of " + ", ".join(values) for name, values in CHOICES.items()},
+    "k": "branching order (>= 2)",
+    "root_mode": "root has k+1 children instead of k",
+    "output": "write the data to this file instead of stdout; verify writes "
+    "the relation suite's deviation CSV there, and without it none",
+    "methods": "comma-separated method list",
+    "exact": "rational arithmetic for brute-force",
+    "input": "read the configuration from this fixture",
+}
 
 
 class ConfigError(Exception):
@@ -50,7 +74,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One evaluation record; the unit of all CSV/JSON output."""
+    """One evaluation record; the unit of all CSV/JSON output, fields in column order."""
 
     k: int
     root_mode: RootMode
@@ -63,36 +87,16 @@ class CurvePoint:
     trials: int
     seed: int
 
+    def _columns(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            yield field.name, value.value if isinstance(value, RootMode) else value
+
     def csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.k),
-                self.root_mode.value,
-                _fmt(self.p),
-                str(self.depth),
-                self.method,
-                _fmt(self.value),
-                _fmt(self.ci_low),
-                _fmt(self.ci_high),
-                str(self.trials),
-                str(self.seed),
-            )
-        )
+        return ",".join(_fmt(v) if isinstance(v, float) else str(v) for _, v in self._columns())
 
     def json_line(self) -> str:
-        record = {
-            "k": self.k,
-            "root_mode": self.root_mode.value,
-            "p": self.p,
-            "depth": self.depth,
-            "method": self.method,
-            "value": self.value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        return json.dumps(record, separators=(",", ":"))
+        return json.dumps(dict(self._columns()), separators=(",", ":"))
 
 
 def _fmt(x: float) -> str:
@@ -117,7 +121,12 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, fields: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults.
+
+    Every value that is not numeric is checked here, whichever source it came
+    from: a choice must be one of CHOICES, `exact` a boolean, and any other
+    field a string or unset. Numbers are checked where they are used.
+    """
     file_cfg = _load_config_file(getattr(args, "config", None))
     unknown = set(file_cfg) - set(fields)
     if unknown:
@@ -132,6 +141,15 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
         else:
             out[name] = default
     print(f"config: {json.dumps(out, sort_keys=True, default=str)}", file=sys.stderr)
+    for name, value in out.items():
+        if name in CHOICES:  # a choice without a default may stay unset
+            ok, want = value in CHOICES[name] or value is fields[name] is None, _HELP[name]
+        elif name == "exact":
+            ok, want = isinstance(value, bool), "true or false"
+        else:
+            ok, want = name in _TYPES or value is None or isinstance(value, str), "a string"
+        if not ok:
+            raise ConfigError(f"--{name.replace('_', '-')}: {want} required, got {value!r}")
     return out
 
 
@@ -182,6 +200,7 @@ def _solver_cfg(rc: dict, default: SolverConfig) -> SolverConfig:
 
 
 def _workers_from_env() -> int:
+    """ZEBRA_PERC_THREADS as a worker count; 0 is passed on (all CPUs)."""
     raw = os.environ.get("ZEBRA_PERC_THREADS")
     if raw is None:
         return 1
@@ -191,87 +210,88 @@ def _workers_from_env() -> int:
         raise ConfigError(f"ZEBRA_PERC_THREADS: integer >= 0 required, got {raw!r}") from exc
     if value < 0:
         raise ConfigError(f"ZEBRA_PERC_THREADS: integer >= 0 required, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
+    return value
 
 
-class _Writer:
-    """Line-oriented writer to stdout or a file, flushed per record."""
+@contextlib.contextmanager
+def _writer(path: str | None):
+    """A line writer to stdout or to a new file at `path`, flushed per record."""
+    fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
 
-    def __init__(self, path: str | None):
-        self._fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-        self._owned = path is not None
+    def line(text: str) -> None:
+        fh.write(text + "\n")
+        fh.flush()
 
-    def line(self, text: str) -> None:
-        self._fh.write(text + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._owned:
-            self._fh.close()
+    try:
+        yield line
+    finally:
+        if path:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------
-# point evaluation (shared by eval and sweep)
+# point evaluation (eval is a sweep of one point)
 
 def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> CurvePoint:
-    base = dict(k=params.k, root_mode=params.root_mode, p=p,
-                depth=0, trials=0, seed=0)
+    depth = trials = seed = 0
     if method == "closed-form":
         if params.root_mode is not RootMode.ROOTED_K:
             raise ConfigError("--method: closed-form supports the rooted-k mode only")
         value = analytic.theta_closed_form(params.k, p)
-        return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
-    if method == "fixed-point":
+    elif method == "fixed-point":
         value = analytic.theta_fixed_point(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG))
-        return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
-    if method == "relation":
+    elif method == "relation":
         value = analytic.zebra_via_relation(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG))
-        return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
-    if method == "dp":
+    elif method == "dp":
         depth = _check_int(rc, "depth", 0)
         if depth > 0:
             value = analytic.zebra_dp(params, p, depth)[depth].z
-            base["depth"] = depth
         else:
             value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
-        return CurvePoint(method=method, value=value, ci_low=value, ci_high=value, **base)
+    else:
+        event_name = rc["event"]
+        depth = _check_int(rc, "depth", 1)
+        event = EventSpec(EVENT_KINDS[event_name], depth)
+        if method == "mc":
+            trials = _check_int(rc, "trials", 1)
+            seed = _check_int(rc, "seed", 0)
+            workers = _workers_from_env()
+            if event.kind is EventKind.ZEBRA_COUNT:
+                est = montecarlo.estimate_count(params, p, event, trials, seed, workers)
+            else:
+                est = montecarlo.estimate_probability(params, p, event, trials, seed, workers)
+            return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
+                              est.mean, est.ci95_low, est.ci95_high, trials, seed)
+        value = float(montecarlo.brute_force_probability(params, p, event, exact=rc["exact"]))
+        method = f"brute-{event_name}"
+    return CurvePoint(params.k, params.root_mode, p, depth, method,
+                      value, value, value, trials, seed)
 
-    event_name = rc["event"]
-    if event_name not in EVENT_KINDS:
-        raise ConfigError(f"--event: one of {sorted(EVENT_KINDS)} required, got {event_name}")
-    depth = _check_int(rc, "depth", 1)
-    event = EventSpec(EVENT_KINDS[event_name], depth)
-    base["depth"] = depth
-    if method == "mc":
-        trials = _check_int(rc, "trials", 1)
-        seed = _check_int(rc, "seed", 0)
-        workers = _workers_from_env()
-        if event.kind is EventKind.ZEBRA_COUNT:
-            est = montecarlo.estimate_count(params, p, event, trials, seed, workers)
-        else:
-            est = montecarlo.estimate_probability(params, p, event, trials, seed, workers)
-        return CurvePoint(
-            method=f"mc-{event_name}", value=est.mean,
-            ci_low=est.ci95_low, ci_high=est.ci95_high,
-            **{**base, "trials": trials, "seed": seed},
-        )
-    if method == "brute-force":
-        value = montecarlo.brute_force_probability(params, p, event, exact=rc["exact"])
-        value = float(value)
-        return CurvePoint(method=f"brute-{event_name}", value=value,
-                          ci_low=value, ci_high=value, **base)
-    raise ConfigError(
-        f"--method: one of {ANALYTIC_METHODS + SAMPLING_METHODS} required, got {method!r}"
-    )
+
+def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
+    """Evaluate every method at every p, in that order, and write one record each.
+
+    The first point is evaluated before the output is opened, so a run that
+    fails on it writes nothing: no CSV header on stdout and no file.
+    """
+    points = (_evaluate_point(params, p, method, rc) for p in ps for method in methods)
+    first = next(points)
+    as_json = rc["format"] == "json"
+    with _writer(rc["output"]) as line:
+        if not as_json:
+            line(CSV_HEADER)
+        for point in itertools.chain([first], points):
+            line(point.json_line() if as_json else point.csv_row())
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each field table lists a command's options in flag order
 
 _EVAL_FIELDS = {
-    "k": 3, "root_mode": "rooted-k", "p": None, "method": None, "event": "zebra",
-    "depth": 0, "trials": 100000, "seed": 0, "tol": None, "max_iter": None,
-    "exact": False, "format": "csv", "output": None,
+    "k": 3, "root_mode": "rooted-k", "output": None, "p": None, "method": None,
+    "event": "zebra", "depth": 0, "trials": 100000, "seed": 0, "tol": None,
+    "max_iter": None, "exact": False, "format": "csv",
 }
 
 
@@ -281,23 +301,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     p = _check_prob(rc, "p")
     if rc["method"] is None:
         raise ConfigError("--method: required")
-    point = _evaluate_point(params, p, rc["method"], rc)
-    writer = _Writer(rc["output"])
-    try:
-        if rc["format"] == "json":
-            writer.line(point.json_line())
-        else:
-            writer.line(CSV_HEADER)
-            writer.line(point.csv_row())
-    finally:
-        writer.close()
-    return 0
+    return _write_points(params, [p], [rc["method"]], rc)
 
 
 _SWEEP_FIELDS = {
-    "k": 3, "root_mode": "rooted-k", "pmin": 0.0, "pmax": 1.0, "steps": 101,
-    "methods": None, "event": "zebra", "depth": 0, "trials": 100000, "seed": 0,
-    "tol": None, "max_iter": None, "exact": False, "format": "csv", "output": None,
+    "k": 3, "root_mode": "rooted-k", "output": None, "pmin": 0.0, "pmax": 1.0,
+    "steps": 101, "methods": None, "event": "zebra", "depth": 0, "trials": 100000,
+    "seed": 0, "tol": None, "max_iter": None, "exact": False, "format": "csv",
 }
 
 
@@ -317,31 +327,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if pmin > pmax:
         raise ConfigError(f"--pmin: must not exceed --pmax, got {pmin} > {pmax}")
     steps = _check_int(rc, "steps", 1)
-    if rc["methods"] is None:
-        raise ConfigError("--methods: required (comma-separated list)")
-    methods = [m.strip() for m in str(rc["methods"]).split(",") if m.strip()]
-    valid = ANALYTIC_METHODS + SAMPLING_METHODS
-    for m in methods:
-        if m not in valid:
-            raise ConfigError(f"--methods: unknown method {m!r}, choose from {valid}")
-    if not methods:
-        raise ConfigError("--methods: at least one method required")
-    writer = _Writer(rc["output"])
-    try:
-        if rc["format"] == "csv":
-            writer.line(CSV_HEADER)
-        for p in _grid(pmin, pmax, steps):
-            for method in methods:
-                point = _evaluate_point(params, p, method, rc)
-                writer.line(point.json_line() if rc["format"] == "json" else point.csv_row())
-    finally:
-        writer.close()
-    return 0
+    methods = [m.strip() for m in (rc["methods"] or "").split(",") if m.strip()]
+    if not methods or any(m not in CHOICES["method"] for m in methods):
+        raise ConfigError(f"--methods: a comma-separated list of names from "
+                          f"{', '.join(CHOICES['method'])} required, got {rc['methods']!r}")
+    return _write_points(params, _grid(pmin, pmax, steps), methods, rc)
 
 
 _CRITICAL_FIELDS = {
-    "k": 3, "root_mode": "rooted-k", "mode": "standard", "depth": 16,
-    "trials": 10000, "seed": 0, "tol": None, "max_iter": None, "output": None,
+    "k": 3, "root_mode": "rooted-k", "output": None, "mode": "standard", "depth": 16,
+    "trials": 10000, "seed": 0, "tol": None, "max_iter": None,
 }
 
 CRITICAL_HEADER = "k,mode,side,value,reference,abs_gap"
@@ -351,38 +346,31 @@ def cmd_critical(args: argparse.Namespace) -> int:
     rc = _resolve(args, _CRITICAL_FIELDS)
     params = _tree_params(rc)
     mode = rc["mode"]
-    if mode not in ("standard", "zebra-dp", "zebra-mc"):
-        raise ConfigError(f"--mode: one of standard, zebra-dp, zebra-mc, got {mode!r}")
     if mode == "zebra-dp":
         cfg = _solver_cfg(rc, BISECTION_CONFIG)
     elif mode == "zebra-mc":
         cfg = _solver_cfg(rc, MC_BISECTION_CONFIG)
         depth, trials = _check_int(rc, "depth", 1), _check_int(rc, "trials", 1)
         seed, workers = _check_int(rc, "seed", 0), _workers_from_env()
-    writer = _Writer(rc["output"])
-    try:
-        writer.line(CRITICAL_HEADER)
+    with _writer(rc["output"]) as line:
+        line(CRITICAL_HEADER)
         if mode == "standard":
             value = analytic.standard_critical(params)
-            writer.line(f"{params.k},standard,point,{_fmt(value)},{_fmt(value)},0")
+            line(f"{params.k},standard,point,{_fmt(value)},{_fmt(value)},0")
             return 0
         pair = analytic.zebra_critical_pair(params)
-        references = {Side.LOWER: pair.p_low, Side.UPPER: pair.p_high}
-        for side in (Side.LOWER, Side.UPPER):
+        for side, ref in ((Side.LOWER, pair.p_low), (Side.UPPER, pair.p_high)):
             if mode == "zebra-dp":
                 located = montecarlo.find_critical_dp(params, side, cfg)
             else:
                 located = montecarlo.find_critical_mc(
                     params, side, depth, trials, seed, cfg, workers=workers
                 )
-            ref = references[side]
-            writer.line(
+            line(
                 f"{params.k},{mode},{side.value},{_fmt(located)},{_fmt(ref)},"
                 f"{_fmt(abs(located - ref))}"
             )
         return 0
-    finally:
-        writer.close()
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +536,6 @@ _VERIFY_FIELDS = {"suite": "all", "output": None}
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rc = _resolve(args, _VERIFY_FIELDS)
-    suite = rc["suite"]
-    if suite not in SUITES:
-        raise ConfigError(f"--suite: one of {SUITES}, got {suite!r}")
     runners = {
         "closed-form": _suite_closed_form,
         "inverse": _suite_inverse,
@@ -558,10 +543,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "transform": _suite_transform,
         "relation": lambda: _suite_relation(rc["output"]),
     }
-    names = list(runners) if suite == "all" else [suite]
+    names = list(runners) if rc["suite"] == "all" else [rc["suite"]]
     all_ok = True
     for name in names:
-        for check, ok, detail in runners[name]():
+        try:
+            results = runners[name]()
+        except Exception as exc:  # a crashed suite fails, and the others still run
+            results = [(name, False, f"{type(exc).__name__}: {exc}")]
+        for check, ok, detail in results:
             print(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
             all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -571,7 +560,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # transform demo
 
 _DEMO_FIELDS = {
-    "k": 2, "root_mode": "rooted-k", "depth": 4, "p": 0.5, "seed": 0, "input": None,
+    "k": 2, "root_mode": "rooted-k", "output": None, "depth": 4, "p": 0.5, "seed": 0,
+    "input": None,
 }
 
 
@@ -589,36 +579,31 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
         try:
             with open(rc["input"], "r", encoding="utf-8") as fh:
                 sigma = tree.load_sigma(fh.read(), params)
-        except OSError as exc:
-            raise ConfigError(f"--input: {exc}") from exc
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"--input: {exc}") from exc
         if sigma.depth != depth:
             depth = sigma.depth
             if depth % 2 or depth > 6:
                 raise ConfigError(f"--input: fixture depth {depth} unsupported")
     else:
-        p = _check_prob(rc, "p")
-        sigma = montecarlo.sample_sigma(params, depth, p, TrialStream(rc["seed"], 0))
+        p, seed = _check_prob(rc, "p"), _check_int(rc, "seed", 0)
+        sigma = montecarlo.sample_sigma(params, depth, p, TrialStream(seed, 0))
     phi = tree.phi_of_sigma(params, sigma)
     m = phi.depth
-    out = sys.stdout
-    out.write(f"# sigma k={params.k} root_mode={params.root_mode} depth={sigma.depth}\n")
-    out.write(tree.dump_sigma(sigma))
-    out.write(f"# phi depth={m}\n")
-    out.write(tree.dump_phi(phi))
     witnesses = (
         ("zebra-open", tree.zebra_ray_witness(params, sigma, 2 * m, tree.EdgeState.OPEN)),
         ("zebra-closed", tree.zebra_ray_witness(params, sigma, 2 * m, tree.EdgeState.CLOSED)),
         ("plus", tree.signed_path_witness(params, phi, m, tree.PhiValue.PLUS)),
         ("minus", tree.signed_path_witness(params, phi, m, tree.PhiValue.MINUS)),
     )
-    for label, witness in witnesses:
-        if witness is None:
-            out.write(f"# witness {label}: none\n")
-        else:
-            out.write(f"# witness {label}: {' '.join(tree.format_address(v) for v in witness)}\n")
-    out.flush()
+    with _writer(rc["output"]) as line:
+        line(f"# sigma k={params.k} root_mode={params.root_mode} depth={sigma.depth}")
+        line(tree.dump_sigma(sigma).rstrip("\n"))
+        line(f"# phi depth={m}")
+        line(tree.dump_phi(phi).rstrip("\n"))
+        for label, witness in witnesses:
+            path = "none" if witness is None else " ".join(map(tree.format_address, witness))
+            line(f"# witness {label}: {path}")
     return 0
 
 
@@ -626,78 +611,35 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
 # parser and entry point
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, one flag per field of its table."""
     parser = argparse.ArgumentParser(
         prog="zebraperc",
         description="Percolation engine for rooted trees: standard and "
         "alternating-path (zebra) percolation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--k", type=int, default=None, help="branching order (>= 2)")
-        sp.add_argument("--full-cayley", dest="root_mode", action="store_const",
-                        const="full-cayley", default=None,
-                        help="root has k+1 children instead of k")
-        sp.add_argument("--config", default=None, help="JSON config file; flags override it")
-        sp.add_argument("--output", default=None, help="write data to this file instead of stdout")
-
-    sp = sub.add_parser("eval", help="evaluate one point by one method")
-    common(sp)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--method", default=None,
-                    choices=ANALYTIC_METHODS + SAMPLING_METHODS)
-    sp.add_argument("--event", default=None, choices=sorted(EVENT_KINDS))
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sp.add_argument("--exact", action="store_const", const=True, default=None,
-                    help="rational arithmetic for brute-force")
-    sp.add_argument("--format", default=None, choices=("csv", "json"))
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("sweep", help="evaluate methods over a p grid")
-    common(sp)
-    sp.add_argument("--pmin", type=float, default=None)
-    sp.add_argument("--pmax", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--methods", default=None, help="comma-separated method list")
-    sp.add_argument("--event", default=None, choices=sorted(EVENT_KINDS))
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sp.add_argument("--exact", action="store_const", const=True, default=None)
-    sp.add_argument("--format", default=None, choices=("csv", "json"))
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("critical", help="locate critical points")
-    common(sp)
-    sp.add_argument("--mode", default=None, choices=("standard", "zebra-dp", "zebra-mc"))
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sp.set_defaults(func=cmd_critical)
-
-    sp = sub.add_parser("verify", help="run invariant suites")
-    sp.add_argument("--suite", default=None, help=f"one of {', '.join(SUITES)}")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--output", default=None,
-                    help="deviation CSV path for the relation suite (not written without it)")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("transform-demo", help="dump a configuration and its transform")
-    common(sp)
-    sp.add_argument("--depth", type=int, default=None, help="even sigma depth <= 6")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--input", default=None, help="read the configuration from this fixture")
-    sp.set_defaults(func=cmd_transform_demo)
-
+    commands = (
+        ("eval", "evaluate one point by one method", _EVAL_FIELDS, cmd_eval),
+        ("sweep", "evaluate methods over a p grid", _SWEEP_FIELDS, cmd_sweep),
+        ("critical", "locate critical points", _CRITICAL_FIELDS, cmd_critical),
+        ("verify", "run invariant suites", _VERIFY_FIELDS, cmd_verify),
+        ("transform-demo", "dump a configuration and its transform", _DEMO_FIELDS,
+         cmd_transform_demo),
+    )
+    for command, summary, fields, handler in commands:
+        sp = sub.add_parser(command, help=summary)
+        sp.set_defaults(func=handler)
+        for name in fields:
+            if name == "output":  # every command has both, --config listed first
+                sp.add_argument("--config", help="JSON config file; flags override it")
+            if name == "root_mode":
+                sp.add_argument("--full-cayley", dest=name, action="store_const",
+                                const="full-cayley", help=_HELP[name])
+            elif name == "exact":
+                sp.add_argument("--exact", action="store_const", const=True, help=_HELP[name])
+            else:
+                sp.add_argument("--" + name.replace("_", "-"), type=_TYPES.get(name),
+                                help=_HELP.get(name))
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .params import TreeParams
@@ -272,23 +273,34 @@ def path_ends(roots: list[int], below: list[list[int]], code: int, alternate: bo
 # ---------------------------------------------------------------------------
 # path witnesses on explicit configurations
 
-def open_ray_witness(params: TreeParams, sigma: SigmaConfig, length: int) -> list[Address] | None:
-    """Vertices of one descending all-open path of the given length, or None."""
+def _first_path(kids, labels, length: int, want, follow) -> list[Address] | None:
+    """Vertices of the first descending path of `length` edges, in child order, or None.
+
+    `kids(v)` lists the children of v and `labels` maps each edge (its lower
+    endpoint) to its state. The first edge must carry `want` (None admits any
+    state); below an edge carrying s, the next edge must carry follow(s).
+    """
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
-    states = sigma.states
 
-    def search(v: Address, remaining: int) -> list[Address] | None:
-        for c in children(params, v):
-            if states[c] is EdgeState.OPEN:
+    def search(v: Address, want, remaining: int) -> list[Address] | None:
+        for c in kids(v):
+            s = labels[c]
+            if want is None or s is want:
                 if remaining == 1:
                     return [c]
-                tail = search(c, remaining - 1)
+                tail = search(c, follow(s), remaining - 1)
                 if tail is not None:
                     return [c] + tail
         return None
 
-    return search(ROOT, length)
+    return search(ROOT, want, length)
+
+
+def open_ray_witness(params: TreeParams, sigma: SigmaConfig, length: int) -> list[Address] | None:
+    """Vertices of one descending all-open path of the given length, or None."""
+    return _first_path(partial(children, params), sigma.states, length, EdgeState.OPEN,
+                       lambda s: s)
 
 
 def zebra_ray_witness(
@@ -301,22 +313,8 @@ def zebra_ray_witness(
 
     `first` pins the state of the first edge; None admits either state.
     """
-    if length < 1:
-        raise ValueError(f"path length must be >= 1, got {length}")
-    states = sigma.states
-
-    def search(v: Address, required: EdgeState | None, remaining: int) -> list[Address] | None:
-        for c in children(params, v):
-            s = states[c]
-            if required is None or s is required:
-                if remaining == 1:
-                    return [c]
-                tail = search(c, s.flipped(), remaining - 1)
-                if tail is not None:
-                    return [c] + tail
-        return None
-
-    return search(ROOT, first, length)
+    return _first_path(partial(children, params), sigma.states, length, first,
+                       EdgeState.flipped)
 
 
 def zebra_connected_count(params: TreeParams, sigma: SigmaConfig, depth: int) -> int:
@@ -343,21 +341,8 @@ def signed_path_witness(
     params: TreeParams, phi: PhiConfig, length: int, sign: PhiValue
 ) -> list[Address] | None:
     """Descending constant-`sign` path of the given length in a transformed config."""
-    if length < 1:
-        raise ValueError(f"path length must be >= 1, got {length}")
-    values = phi.values
-
-    def search(hv: Address, remaining: int) -> list[Address] | None:
-        for c in hat_children(params, hv):
-            if values[c] is sign:
-                if remaining == 1:
-                    return [c]
-                tail = search(c, remaining - 1)
-                if tail is not None:
-                    return [c] + tail
-        return None
-
-    return search(ROOT, length)
+    return _first_path(partial(hat_children, params), phi.values, length, sign,
+                       lambda s: s)
 
 
 def correspondence_holds(params: TreeParams, sigma: SigmaConfig) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 import zebraperc
+from zebraperc import cli
+from zebraperc.analytic import NonConvergenceError
 from zebraperc.cli import CSV_HEADER, main
 
 
@@ -125,6 +128,30 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[1].split(",")[3:6] == ["500", "mc-open", "1"]
 
+    @pytest.mark.parametrize("argv,field", [
+        (["eval", "--k", "3", "--p", "0.5", "--method", "bogus"], "--method"),
+        (["eval", "--k", "3", "--p", "0.5", "--method", "mc", "--event", "nope"], "--event"),
+        (["eval", "--k", "3", "--p", "0.5", "--method", "dp", "--format", "xml"], "--format"),
+        (["critical", "--k", "3", "--mode", "bad"], "--mode"),
+    ])
+    def test_bad_choice(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {field}: one of " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "5", "--p", "0.5", "--method", "closed-form"],
+        ["sweep", "--k", "5", "--methods", "closed-form"],
+    ])
+    def test_failing_first_point_writes_nothing(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 4 and out == ""
+        path = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, argv + ["--output", str(path)])
+        assert code == 4 and out == ""
+        assert not path.exists()
+
     def test_no_bracket(self, capsys):
         code, _, err = run_cli(capsys, ["critical", "--k", "2", "--mode", "zebra-dp"])
         assert code == 5
@@ -223,6 +250,22 @@ class TestVerify:
         assert "PASS relation csv: deviation grid not written (no --output)" in out
         assert list(tmp_path.iterdir()) == []
 
+    def test_crashed_suite_fails_and_the_rest_run(self, capsys, monkeypatch):
+        def crash():
+            raise NonConvergenceError("no root after 3 iterations", 0.5)
+
+        monkeypatch.setattr(cli, "_suite_closed_form", crash)
+        monkeypatch.setattr(cli, "_suite_transform", lambda: [("transform stub", True, "skipped")])
+        code, out, err = run_cli(capsys, ["verify", "--suite", "all"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL closed-form: NonConvergenceError: no root after 3 iterations"
+        assert any(line.startswith("PASS oracle reference 15/16:") for line in lines)
+        assert "PASS transform stub: skipped" in lines
+        assert lines[-1].startswith("PASS relation csv")
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert "Traceback" not in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--suite", "nope"])
         assert code == 2
@@ -255,6 +298,15 @@ class TestTransformDemo:
         phi_lines = out.split("# phi depth=1\n")[1].splitlines()[:4]
         assert all(line.endswith(",0") for line in phi_lines)
         assert "# witness zebra-open: none" in out
+
+    def test_output_file(self, capsys, tmp_path):
+        argv = ["transform-demo", "--k", "2", "--depth", "4", "--seed", "3"]
+        _, expected, _ = run_cli(capsys, argv)
+        path = tmp_path / "demo.txt"
+        code, out, _ = run_cli(capsys, argv + ["--output", str(path)])
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == expected
 
     def test_too_large(self, capsys):
         code, _, _ = run_cli(capsys, ["transform-demo", "--k", "4", "--depth", "4"])
@@ -336,6 +388,25 @@ class TestConfigPrecedence:
         assert out == ""
         assert "error: --max-iter:" in err or "error: --tol:" in err
 
+    @pytest.mark.parametrize("argv,config,field", [
+        (["eval", "--method", "mc", "--depth", "2"], {"p": 0.5, "event": ["x"]}, "--event"),
+        (["eval", "--method", "dp"], {"p": 0.5, "format": "xml"}, "--format"),
+        (["eval", "--method", "brute-force", "--depth", "2"], {"p": 0.5, "exact": "no"}, "--exact"),
+        (["eval", "--method", "dp"], {"p": 0.5, "output": 7}, "--output"),
+        (["transform-demo"], {"input": 0}, "--input"),
+        (["transform-demo"], {"seed": "x"}, "--seed"),
+        (["sweep", "--methods", "dp", "--steps", "2"], {"format": None}, "--format"),
+    ])
+    def test_config_values_of_the_wrong_type(self, tmp_path, argv, config, field):
+        # A child process: unchecked, an integer --output is opened as a file descriptor.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"k": 2, **config}))
+        proc = subprocess.run([sys.executable, "-m", "zebraperc", *argv, "--config", str(cfg)],
+                              capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mystery": 1}))
@@ -343,6 +414,37 @@ class TestConfigPrecedence:
                                         "--p", "0.5", "--method", "dp"])
         assert code == 2
         assert "mystery" in err
+
+
+class TestSurface:
+    FLAGS = {
+        "eval": ["--k", "--full-cayley", "--config", "--output", "--p", "--method", "--event",
+                 "--depth", "--trials", "--seed", "--tol", "--max-iter", "--exact", "--format"],
+        "sweep": ["--k", "--full-cayley", "--config", "--output", "--pmin", "--pmax", "--steps",
+                  "--methods", "--event", "--depth", "--trials", "--seed", "--tol",
+                  "--max-iter", "--exact", "--format"],
+        "critical": ["--k", "--full-cayley", "--config", "--output", "--mode", "--depth",
+                     "--trials", "--seed", "--tol", "--max-iter"],
+        "verify": ["--suite", "--config", "--output"],
+        "transform-demo": ["--k", "--full-cayley", "--config", "--output", "--depth", "--p",
+                           "--seed", "--input"],
+    }
+
+    def test_option_strings(self):
+        (sub,) = (a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: [o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, sp in sub.choices.items()
+        }
+        assert surface == self.FLAGS
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help(self, command):
+        proc = subprocess.run([sys.executable, "-m", "zebraperc", command, "--help"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert all(flag in proc.stdout for flag in self.FLAGS[command])
 
 
 class TestStartup:
@@ -368,6 +470,21 @@ class TestThreadEnvironment:
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("raw,workers", [(None, 1), ("0", 0), ("1", 1), ("3", 3)])
+    def test_thread_env_passes_the_count_on(self, monkeypatch, raw, workers):
+        if raw is None:
+            monkeypatch.delenv("ZEBRA_PERC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ZEBRA_PERC_THREADS", raw)
+        assert cli._workers_from_env() == workers
+
+    @pytest.mark.parametrize("raw,message", [("many", "got 'many'"), ("-1", "got -1")])
+    def test_bad_thread_env_message(self, monkeypatch, raw, message):
+        monkeypatch.setenv("ZEBRA_PERC_THREADS", raw)
+        with pytest.raises(cli.ConfigError, match="ZEBRA_PERC_THREADS: integer >= 0 required, "
+                                                  + message):
+            cli._workers_from_env()
 
     def test_bad_thread_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ZEBRA_PERC_THREADS", "many")

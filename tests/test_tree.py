@@ -223,6 +223,41 @@ class TestWitnesses:
             for sigma in enumerate_configs(params, 2)
         )
 
+    @pytest.mark.parametrize("params,depth,configs", [
+        (TreeParams(2), 2, None),
+        (TreeParams(3, RootMode.FULL_CAYLEY), 4, 150),
+    ])
+    def test_first_path_in_child_order(self, params, depth, configs):
+        """Each witness is the lexicographically first matching path of its length."""
+        if configs is None:
+            sigmas = list(enumerate_configs(params, depth))
+        else:
+            sigmas = [sample_sigma(params, depth, 0.5, TrialStream(5, t)) for t in range(configs)]
+
+        def first_path(labels, length, ok):
+            for v in sorted(a for a in labels if len(a) == length):
+                path = [v[:i] for i in range(1, length + 1)]
+                if ok([labels[e] for e in path]):
+                    return path
+            return None
+
+        def alternates(first):
+            return lambda s: (first is None or s[0] is first) and all(
+                a is not b for a, b in zip(s, s[1:]))
+
+        for sigma in sigmas:
+            phi = phi_of_sigma(params, sigma)
+            for length in range(1, depth + 1):
+                assert open_ray_witness(params, sigma, length) == first_path(
+                    sigma.states, length, lambda s: all(x is EdgeState.OPEN for x in s))
+                for first in (None, EdgeState.OPEN, EdgeState.CLOSED):
+                    assert zebra_ray_witness(params, sigma, length, first) == first_path(
+                        sigma.states, length, alternates(first))
+            for length in range(1, phi.depth + 1):
+                for sign in PhiValue:
+                    assert signed_path_witness(params, phi, length, sign) == first_path(
+                        phi.values, length, lambda s: all(x is sign for x in s))
+
 
 class TestSerialization:
     def test_address_format(self):
