@@ -8,7 +8,7 @@ rooted trees of branching order k. All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .params import (
     FIXED_POINT_CONFIG,
@@ -18,23 +18,28 @@ from .params import (
     TreeParams,
     check_probability,
 )
-from .tree import level_size
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration failed to reach the requested tolerance; carries the last value."""
+    """Iteration failed to reach the requested tolerance.
 
-    def __init__(self, message: str, last_value: float) -> None:
+    Carries the last value, the number of iterations run and the size of the
+    last step, which the solve compared against its tolerance.
+    """
+
+    def __init__(self, message: str, last_value: float, iterations: int | None = None,
+                 residual: float | None = None) -> None:
         super().__init__(message)
         self.last_value = last_value
+        self.iterations = iterations
+        self.residual = residual
 
 
 class UnsupportedOrderError(ValueError):
     """No closed form is available for this branching order."""
 
 
-@dataclass(frozen=True)
-class ZebraDPState:
+class ZebraDPState(namedtuple("ZebraDPState", "depth a b z")):
     """Exact depth-n probabilities of parity-conditioned alternating paths.
 
     a: a descending alternating path of length `depth` whose first edge is
@@ -42,24 +47,20 @@ class ZebraDPState:
     edge closed; z: the same from the root with either first-edge state.
     """
 
-    depth: int
-    a: float
-    b: float
-    z: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(namedtuple("CriticalPair", "p_low p_high")):
     """The two zebra-percolation thresholds, symmetric about 1/2."""
 
-    p_low: float
-    p_high: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_probability(self.p_low, "p_low")
-        check_probability(self.p_high, "p_high")
-        if self.p_low > self.p_high:
-            raise ValueError(f"p_low={self.p_low} exceeds p_high={self.p_high}")
+    def __new__(cls, p_low: float, p_high: float):
+        check_probability(p_low, "p_low")
+        check_probability(p_high, "p_high")
+        if p_low > p_high:
+            raise ValueError(f"p_low={p_low} exceeds p_high={p_high}")
+        return super().__new__(cls, p_low, p_high)
 
 
 def path_probability(p: float, n: int) -> float:
@@ -147,11 +148,13 @@ def theta_branch_fixed_point(
     for _ in range(cfg.max_iter):
         gap, slope = _branch_gap(k, p, excess, x)
         x_next = x - gap / slope
-        if x - x_next <= cfg.tol * x_next:
+        step = x - x_next
+        if step <= cfg.tol * x_next:
             return min(x, x_next)
         x = x_next
     raise NonConvergenceError(
-        f"fixed point not within tol={cfg.tol} after {cfg.max_iter} iterations", x
+        f"fixed point not within tol={cfg.tol} after {cfg.max_iter} iterations", x,
+        cfg.max_iter, step,
     )
 
 
@@ -240,12 +243,14 @@ def zebra_limit(params: TreeParams, p: float, cfg: SolverConfig = LIMIT_CONFIG) 
     z_prev = math.inf
     for _ in range(cfg.max_iter):
         z = 1.0 - (1.0 - (p * b + q * a)) ** d
-        if abs(z - z_prev) < cfg.tol:
+        step = abs(z - z_prev)
+        if step < cfg.tol:
             return z
         z_prev = z
         a, b = 1.0 - (1.0 - p * b) ** k, 1.0 - (1.0 - q * a) ** k
     raise NonConvergenceError(
-        f"zebra limit not within tol={cfg.tol} after {cfg.max_iter} depths", z_prev
+        f"zebra limit not within tol={cfg.tol} after {cfg.max_iter} depths", z_prev,
+        cfg.max_iter, step,
     )
 
 
@@ -267,6 +272,8 @@ def expected_zebra_count(params: TreeParams, p: float, n: int) -> float:
     """First moment of the number of depth-n vertices zebra-connected to the root."""
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
+    from .tree import level_size
+
     return level_size(params, n) * path_probability(p, n)
 
 

@@ -12,40 +12,39 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import analytic, montecarlo, tree
+from . import analytic
 from .analytic import NonConvergenceError, UnsupportedOrderError
-from .montecarlo import EventKind, EventSpec, NoBracketError, Side
 from .params import (
     BISECTION_CONFIG,
     FIXED_POINT_CONFIG,
     LIMIT_CONFIG,
     MC_BISECTION_CONFIG,
+    NoBracketError,
     RootMode,
     SolverConfig,
+    TooLargeError,
     TreeParams,
 )
-from .rng import TrialStream
-from .tree import TooLargeError
+
+# Start-up loads only analytic and params. montecarlo, tree and rng are
+# imported inside the methods, modes and suites that run them, so that an
+# analytic command does not pay for loading them.
 
 CSV_HEADER = "k,root_mode,p,depth,method,value,ci_low,ci_high,trials,seed"
 
-EVENT_KINDS = {
-    "open": EventKind.OPEN_RAY,
-    "zebra": EventKind.ZEBRA_RAY,
-    "zebra-count": EventKind.ZEBRA_COUNT,
-}
+#: Event names of --event, the values of montecarlo.EventKind.
+EVENT_KINDS = ("open", "zebra", "zebra-count")
 #: Fields that take one of a fixed set of strings, from a flag or from --config.
 CHOICES = {
     "method": ("closed-form", "fixed-point", "dp", "relation", "mc", "brute-force"),
-    "event": tuple(EVENT_KINDS),
+    "event": EVENT_KINDS,
     "format": ("csv", "json"),
     "mode": ("standard", "zebra-dp", "zebra-mc"),
     "suite": ("closed-form", "inverse", "oracle", "transform", "relation", "all"),
@@ -72,25 +71,14 @@ class ConfigError(Exception):
     """Invalid run configuration; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(namedtuple("CurvePoint", CSV_HEADER.split(","))):
     """One evaluation record; the unit of all CSV/JSON output, fields in column order."""
 
-    k: int
-    root_mode: RootMode
-    p: float
-    depth: int
-    method: str
-    value: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    seed: int
+    __slots__ = ()
 
     def _columns(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            yield field.name, value.value if isinstance(value, RootMode) else value
+        for name, value in zip(self._fields, self):
+            yield name, value.value if isinstance(value, RootMode) else value
 
     def csv_row(self) -> str:
         return ",".join(_fmt(v) if isinstance(v, float) else str(v) for _, v in self._columns())
@@ -216,7 +204,10 @@ def _workers_from_env() -> int:
 @contextlib.contextmanager
 def _writer(path: str | None):
     """A line writer to stdout or to a new file at `path`, flushed per record."""
-    fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise ConfigError(f"--output: cannot write {path}: {exc}") from exc
 
     def line(text: str) -> None:
         fh.write(text + "\n")
@@ -249,14 +240,16 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
         else:
             value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
     else:
+        from . import montecarlo
+
         event_name = rc["event"]
         depth = _check_int(rc, "depth", 1)
-        event = EventSpec(EVENT_KINDS[event_name], depth)
+        event = montecarlo.EventSpec(montecarlo.EventKind(event_name), depth)
         if method == "mc":
             trials = _check_int(rc, "trials", 1)
             seed = _check_int(rc, "seed", 0)
             workers = _workers_from_env()
-            if event.kind is EventKind.ZEBRA_COUNT:
+            if event.kind is montecarlo.EventKind.ZEBRA_COUNT:
                 est = montecarlo.estimate_count(params, p, event, trials, seed, workers)
             else:
                 est = montecarlo.estimate_probability(params, p, event, trials, seed, workers)
@@ -358,8 +351,11 @@ def cmd_critical(args: argparse.Namespace) -> int:
             value = analytic.standard_critical(params)
             line(f"{params.k},standard,point,{_fmt(value)},{_fmt(value)},0")
             return 0
+        from . import montecarlo
+
         pair = analytic.zebra_critical_pair(params)
-        for side, ref in ((Side.LOWER, pair.p_low), (Side.UPPER, pair.p_high)):
+        for side, ref in ((montecarlo.Side.LOWER, pair.p_low),
+                          (montecarlo.Side.UPPER, pair.p_high)):
             if mode == "zebra-dp":
                 located = montecarlo.find_critical_dp(params, side, cfg)
             else:
@@ -427,6 +423,8 @@ def _suite_inverse() -> list[tuple[str, bool, str]]:
 def _suite_oracle() -> list[tuple[str, bool, str]]:
     from fractions import Fraction
 
+    from . import montecarlo
+
     params = TreeParams(k=2)
     results = []
     worst = 0.0
@@ -460,6 +458,9 @@ def _suite_oracle() -> list[tuple[str, bool, str]]:
 
 
 def _suite_transform() -> list[tuple[str, bool, str]]:
+    from . import montecarlo, tree
+    from .rng import TrialStream
+
     results = []
     params2 = TreeParams(k=2)
     exhaustive_ok = all(
@@ -566,6 +567,9 @@ _DEMO_FIELDS = {
 
 
 def cmd_transform_demo(args: argparse.Namespace) -> int:
+    from . import montecarlo, tree
+    from .rng import TrialStream
+
     rc = _resolve(args, _DEMO_FIELDS)
     params = _tree_params(rc)
     if params.k > 3:
@@ -652,7 +656,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
-        print(f"error: {exc} (last value {exc.last_value})", file=sys.stderr)
+        state = [f"last value {exc.last_value}"]
+        if exc.iterations is not None:
+            state.append(f"{exc.iterations} iterations")
+        if exc.residual is not None:
+            state.append(f"last step {exc.residual:.3g}")
+        print(f"error: {exc} ({', '.join(state)})", file=sys.stderr)
         return 3
     except (TooLargeError, UnsupportedOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,8 +21,8 @@ import math
 import sys
 from array import array
 from collections import Counter, defaultdict
+from collections.abc import Iterator, Sequence
 from itertools import compress
-from typing import Iterator, Sequence
 
 from .params import TreeParams
 from .rng import _GOLDEN, _MASK, ROOT_KEY

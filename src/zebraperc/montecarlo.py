@@ -16,20 +16,21 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import tree
 from .analytic import NonConvergenceError, zebra_limit
 from .params import (
     BISECTION_CONFIG,
     MC_BISECTION_CONFIG,
+    NoBracketError,
     SolverConfig,
+    TooLargeError,
     TreeParams,
     check_probability,
 )
 from .rng import TrialStream, derive_seed
-from .tree import EdgeState, SigmaConfig, TooLargeError
+from .tree import EdgeState, SigmaConfig
 
 #: Normal quantile for two-sided 95% intervals.
 Z95 = 1.959963984540054
@@ -44,16 +45,15 @@ class EventKind(enum.Enum):
     ZEBRA_COUNT = "zebra-count"
 
 
-@dataclass(frozen=True)
-class EventSpec:
+class EventSpec(namedtuple("EventSpec", "kind depth")):
     """A depth-truncated percolation event from the root."""
 
-    kind: EventKind
-    depth: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"event depth must be >= 1, got {self.depth}")
+    def __new__(cls, kind: EventKind, depth: int):
+        if depth < 1:
+            raise ValueError(f"event depth must be >= 1, got {depth}")
+        return super().__new__(cls, kind, depth)
 
 
 def open_ray(depth: int) -> EventSpec:
@@ -73,20 +73,10 @@ class Side(enum.Enum):
     UPPER = "upper"
 
 
-class NoBracketError(RuntimeError):
-    """The transition indicator does not change over the initial bracket."""
-
-
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(namedtuple("Estimate", "mean stderr ci95_low ci95_high trials seed")):
     """Monte-Carlo estimate with standard error and a 95% interval."""
 
-    mean: float
-    stderr: float
-    ci95_low: float
-    ci95_high: float
-    trials: int
-    seed: int
+    __slots__ = ()
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -344,6 +334,8 @@ def brute_force_probability(
     alternate = event.kind is not EventKind.OPEN_RAY
     count = event.kind is EventKind.ZEBRA_COUNT
     if exact:
+        from fractions import Fraction
+
         tally = [0] * (n_edges + 1)
         for code in range(1 << n_edges):
             ends = tree.path_ends(roots, below, code, alternate)

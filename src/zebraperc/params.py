@@ -1,9 +1,18 @@
-"""Shared parameter types for tree percolation computations."""
+"""Shared parameter types for tree percolation computations.
+
+Records are namedtuple subclasses with empty __slots__: immutable, compared,
+hashed and printed by their fields, and cheap to create at import. Their
+__new__ validates the fields.
+
+TooLargeError and NoBracketError live here, and tree and montecarlo, which
+raise them, re-export them: the CLI maps them to exit codes 4 and 5 without
+importing those modules.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class RootMode(enum.Enum):
@@ -16,34 +25,40 @@ class RootMode(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TooLargeError(ValueError):
+    """The truncation is too large for exhaustive treatment."""
+
+
+class NoBracketError(RuntimeError):
+    """The transition indicator does not change over the initial bracket."""
+
+
+class TreeParams(namedtuple("TreeParams", "k root_mode")):
     """Branching order and root mode; fixes the combinatorics of everything else."""
 
-    k: int
-    root_mode: RootMode = RootMode.ROOTED_K
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"branching order k must be >= 2, got {self.k}")
+    def __new__(cls, k: int, root_mode: RootMode = RootMode.ROOTED_K):
+        if k < 2:
+            raise ValueError(f"branching order k must be >= 2, got {k}")
+        return super().__new__(cls, k, root_mode)
 
     @property
     def root_degree(self) -> int:
         return self.k + 1 if self.root_mode is RootMode.FULL_CAYLEY else self.k
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(namedtuple("SolverConfig", "tol max_iter")):
     """Tolerance and iteration cap for iterative solves; each solve states what tol bounds."""
 
-    tol: float = 1e-12
-    max_iter: int = 10**6
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+    def __new__(cls, tol: float = 1e-12, max_iter: int = 10**6):
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        return super().__new__(cls, tol, max_iter)
 
 
 FIXED_POINT_CONFIG = SolverConfig(tol=1e-12, max_iter=10**6)

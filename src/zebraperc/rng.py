@@ -19,7 +19,7 @@ two agree on every word and every p in [0, 1], so both give the same bonds.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
-from typing import Iterator
 
-from .params import TreeParams
+from .params import TooLargeError, TreeParams
 
 Address = tuple[int, ...]
 
@@ -24,10 +24,6 @@ ROOT: Address = ()
 
 #: Exhaustive enumeration is capped at this many edges (2**22 configurations).
 MAX_ENUM_EDGES = 22
-
-
-class TooLargeError(ValueError):
-    """The truncation is too large for exhaustive treatment."""
 
 
 class InvalidHatEdgeError(ValueError):
@@ -52,20 +48,22 @@ class PhiValue(enum.IntEnum):
     PLUS = 1
 
 
-@dataclass
-class SigmaConfig:
-    """Bond states over every edge of a depth-truncated tree."""
+class SigmaConfig(namedtuple("SigmaConfig", "depth states")):
+    """Bond states over every edge of a depth-truncated tree.
 
-    depth: int
-    states: dict[Address, EdgeState]
+    depth: int; states: dict[Address, EdgeState].
+    """
+
+    __slots__ = ()
 
 
-@dataclass
-class PhiConfig:
-    """Signed pair states over every edge of the depth-truncated transformed tree."""
+class PhiConfig(namedtuple("PhiConfig", "depth values")):
+    """Signed pair states over every edge of the depth-truncated transformed tree.
 
-    depth: int
-    values: dict[Address, PhiValue]
+    depth: int; values: dict[Address, PhiValue].
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

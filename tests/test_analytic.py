@@ -135,6 +135,8 @@ class TestThetaFixedPoint:
         with pytest.raises(NonConvergenceError) as err:
             theta_branch_fixed_point(2, 0.9, SolverConfig(tol=1e-12, max_iter=3))
         assert 0.0 < err.value.last_value <= 1.0
+        assert err.value.iterations == 3
+        assert 1e-12 * err.value.last_value < err.value.residual < 1.0
 
     def test_monotone_in_p(self):
         for k in (2, 3, 4):
@@ -250,6 +252,13 @@ class TestZebraLimit:
         expected = 1.0 - (1.0 - (p * b + (1 - p) * a)) ** k
         assert value == pytest.approx(expected, abs=1e-9)
         assert value > 0.9
+
+    def test_non_convergence_carries_its_state(self):
+        with pytest.raises(NonConvergenceError) as err:
+            zebra_limit(TreeParams(3), 0.5, SolverConfig(tol=1e-12, max_iter=4))
+        assert 0.9 < err.value.last_value <= 1.0
+        assert err.value.iterations == 4
+        assert 1e-12 <= err.value.residual < 1.0
 
     def test_threshold_consistency(self):
         for k in (3, 4, 5):

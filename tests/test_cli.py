@@ -99,10 +99,12 @@ class TestExitCodes:
         assert "--method" in err
 
     def test_non_convergence(self, capsys):
-        code, _, err = run_cli(capsys, ["eval", "--k", "2", "--p", "0.9",
-                                        "--method", "fixed-point", "--max-iter", "2"])
+        code, out, err = run_cli(capsys, ["eval", "--k", "2", "--p", "0.9",
+                                          "--method", "fixed-point", "--max-iter", "2"])
         assert code == 3
+        assert out == ""
         assert "tol" in err
+        assert ", 2 iterations, last step " in err.splitlines()[-1]
 
     def test_unsupported_order(self, capsys):
         code, _, _ = run_cli(capsys, ["eval", "--k", "5", "--p", "0.5",
@@ -416,6 +418,22 @@ class TestConfigPrecedence:
         assert "mystery" in err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "3", "--p", "0.5", "--method", "dp"],
+        ["sweep", "--k", "3", "--methods", "fixed-point", "--steps", "3"],
+        ["critical", "--mode", "standard", "--k", "3"],
+        ["transform-demo", "--k", "2", "--depth", "2"],
+    ])
+    def test_exit_2_and_nothing_written(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, argv + ["--output", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"error: --output: cannot write {path}: ")
+        assert not path.parent.exists()
+
+
 class TestSurface:
     FLAGS = {
         "eval": ["--k", "--full-cayley", "--config", "--output", "--p", "--method", "--event",
@@ -456,6 +474,31 @@ class TestStartup:
                               env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # typing, enum and re are not listed: an interpreter can load them before
+    # any command runs (site may execute a .pth file that imports them).
+    ANALYTIC_UNUSED = ("zebraperc.montecarlo", "zebraperc.tree", "zebraperc.rng",
+                       "zebraperc.kernel", "dataclasses", "inspect", "fractions", "decimal")
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--mode", "standard", "--k", "3"],
+        ["eval", "--k", "3", "--p", "0.3", "--method", "dp"],
+        ["sweep", "--k", "3", "--methods", "fixed-point,relation", "--steps", "3"],
+    ])
+    def test_analytic_command_loads_only_the_analytic_layers(self, argv):
+        code = ("import json, runpy, sys\n"
+                f"sys.argv = ['zebraperc', *{argv!r}]\n"
+                "try:\n"
+                "    runpy.run_module('zebraperc', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(json.dumps(sorted(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "zebraperc.analytic" in loaded
+        assert sorted(loaded.intersection(self.ANALYTIC_UNUSED)) == []
 
 
 class TestThreadEnvironment:
