@@ -90,21 +90,13 @@ def zebra_critical_pair(params: TreeParams) -> CriticalPair:
     return CriticalPair(p_low=low, p_high=1.0 - low)
 
 
-def _branch_gap(k: int, p: float, excess: float, x: float) -> tuple[float, float]:
-    """g(x) = 1 - (1 - p x)^k - x and its slope g'(x), without cancellation.
+def _power_series(k: int, u: float) -> tuple[float, float]:
+    """S(u) = sum_{j<k} (1 - (1-u)^j) and its derivative S'(u), for k u <= 1/2.
 
-    excess is k p - 1, rounded once. Where k p x > 1/2, g is evaluated
-    directly; there |g'| is bounded away from 0 on the iterates. Below that,
-    g = x (excess - p S(px)) with S(u) = sum_{j<k} (1 - (1-u)^j), summed as
-    the series sum_{m>=1} (-1)^(m+1) C(k, m+1) u^m, whose terms shrink at least
-    as fast as (k u)^m / (m+1)!. The difference excess - p S is then the only
-    cancellation left, and it is the conditioning of the root itself.
+    S splits the power without cancellation: 1 - (1-u)^k = u (k - S(u)). It is
+    summed as the series sum_{m>=1} (-1)^(m+1) C(k, m+1) u^m, whose terms
+    shrink at least as fast as (k u)^m / (m+1)!.
     """
-    u = p * x
-    if k * u > 0.5:
-        log_rest = math.log1p(-u)
-        return (-math.expm1(k * log_rest) - x,
-                k * p * math.exp((k - 1) * log_rest) - 1.0)
     s = ds = 0.0
     coef = k * (k - 1) / 2.0  # (-1)^(m+1) C(k, m+1)
     power = 1.0  # u^(m-1)
@@ -116,6 +108,24 @@ def _branch_gap(k: int, p: float, excess: float, x: float) -> tuple[float, float
             break
         coef *= -(k - m - 1) / (m + 2)
         power *= u
+    return s, ds
+
+
+def _branch_gap(k: int, p: float, excess: float, x: float) -> tuple[float, float]:
+    """g(x) = 1 - (1 - p x)^k - x and its slope g'(x), without cancellation.
+
+    excess is k p - 1, rounded once. Where k p x > 1/2, g is evaluated
+    directly; there |g'| is bounded away from 0 on the iterates. Below that,
+    g = x (excess - p S(px)) with S from `_power_series`. The difference
+    excess - p S is then the only cancellation left, and it is the
+    conditioning of the root itself.
+    """
+    u = p * x
+    if k * u > 0.5:
+        log_rest = math.log1p(-u)
+        return (-math.expm1(k * log_rest) - x,
+                k * p * math.exp((k - 1) * log_rest) - 1.0)
+    s, ds = _power_series(k, u)
     h = excess - p * s
     return x * h, h - x * p * p * ds
 
@@ -226,31 +236,72 @@ def zebra_dp(params: TreeParams, p: float, n: int) -> list[ZebraDPState]:
     return states
 
 
+def _zebra_gap(k: int, p: float, q: float, excess: float, a: float) -> tuple[float, float]:
+    """h(a) = F(G(a)) - a and its slope h'(a), without cancellation.
+
+    G(a) = 1 - (1 - q a)^k and F(b) = 1 - (1 - p b)^k; excess is k^2 p q - 1,
+    rounded once. Where k q a or k p G exceeds 1/2, h is evaluated directly;
+    there the fixed point lies away from 0 and |h'| is bounded away from 0.
+    Below that, with u = q a, v = p G and S from `_power_series`,
+    h = a (excess - k p q S(u)) - p G S(v), and the difference is again the
+    conditioning of the root itself.
+    """
+    u = q * a
+    log_u = math.log1p(-u)
+    g = -math.expm1(k * log_u)
+    v = p * g
+    log_v = math.log1p(-v)
+    if k * max(u, v) > 0.5:
+        return (-math.expm1(k * log_v) - a,
+                k * k * p * q * math.exp((k - 1) * (log_u + log_v)) - 1.0)
+    s_u, ds_u = _power_series(k, u)
+    s_v, ds_v = _power_series(k, v)
+    kpq = k * p * q
+    dg = q * (k - s_u - u * ds_u)
+    return (a * (excess - kpq * s_u) - p * g * s_v,
+            excess - kpq * (s_u + u * ds_u) - p * dg * (s_v + v * ds_v))
+
+
+def _zebra_root(params: TreeParams, p: float, q: float, a: float) -> float:
+    """Root value 1 - (1 - (p G(a) + q a))^d of the even-level value a."""
+    s = p * -math.expm1(params.k * math.log1p(-q * a)) + q * a
+    return 1.0 if s >= 1.0 else -math.expm1(params.root_degree * math.log1p(-s))
+
+
 def zebra_limit(params: TreeParams, p: float, cfg: SolverConfig = LIMIT_CONFIG) -> float:
     """Depth limit of the alternating-path probability from the root.
 
-    Returns exactly 0 when k^2 p (1-p) <= 1 without iterating; otherwise
-    iterates the depth recursion until successive root values differ by less
-    than cfg.tol.
+    Returns exactly 0 when k^2 p (1-p) <= 1 without iterating. Otherwise the
+    pair recursion's even-level limit a is the largest fixed point of
+    a -> F(G(a)), G(a) = 1 - (1 - q a)^k, F(b) = 1 - (1 - p b)^k, a two-type
+    Galton-Watson generating map. It is increasing and concave, so Newton's
+    method on h(a) = F(G(a)) - a falls monotonically from a = 1 onto the fixed
+    point. The solve stops when a Newton step moves a by at most cfg.tol * a,
+    so cfg.tol bounds the relative step on a, and cfg.max_iter (--max-iter)
+    counts Newton steps. h is evaluated without cancellation (see
+    `_zebra_gap`) from k^2 p (1-p) - 1 computed exactly, so the result keeps
+    full float accuracy as p approaches either root of k^2 p (1-p) = 1. The
+    returned root value is 1 - (1 - (p G(a) + q a))^d over the root degree d.
     """
     check_probability(p)
     k = params.k
-    q = 1.0 - p
-    if k * k * p * q <= 1.0:
+    num, den = p.as_integer_ratio()
+    excess_num = k * k * num * (den - num) - den * den
+    if excess_num <= 0:
         return 0.0
-    d = params.root_degree
-    a = b = 1.0
-    z_prev = math.inf
+    excess = excess_num / (den * den)  # k^2 p q - 1, rounded once
+    q = 1.0 - p
+    a = 1.0
     for _ in range(cfg.max_iter):
-        z = 1.0 - (1.0 - (p * b + q * a)) ** d
-        step = abs(z - z_prev)
-        if step < cfg.tol:
-            return z
-        z_prev = z
-        a, b = 1.0 - (1.0 - p * b) ** k, 1.0 - (1.0 - q * a) ** k
+        gap, slope = _zebra_gap(k, p, q, excess, a)
+        a_next = a - gap / slope
+        step = a - a_next
+        if step <= cfg.tol * a_next:
+            return _zebra_root(params, p, q, min(a, a_next))
+        a = a_next
     raise NonConvergenceError(
-        f"zebra limit not within tol={cfg.tol} after {cfg.max_iter} depths", z_prev,
-        cfg.max_iter, step,
+        f"zebra limit not within tol={cfg.tol} after {cfg.max_iter} iterations",
+        _zebra_root(params, p, q, a), cfg.max_iter, step,
     )
 
 

@@ -487,13 +487,19 @@ def _suite_transform() -> list[tuple[str, bool, str]]:
 RELATION_HEADER = "k,p,dp_limit,relation,abs_dev"
 
 
-def _suite_relation(output: str | None) -> list[tuple[str, bool, str]]:
+def _suite_relation(csv_line, output: str | None) -> list[tuple[str, bool, str]]:
+    """Thresholds of the depth limit and of the paper's relation, and their gap.
+
+    Within 0.01 of the open interval's ends the depth limit must also agree
+    with the depth-1000 recursion to 1e-12. The deviation grid goes to
+    `csv_line`, the writer of `output`, when there is one.
+    """
     results = []
     lines = [RELATION_HEADER]
     for k in (3, 4):
         params = TreeParams(k=k)
         pair = analytic.zebra_critical_pair(params)
-        max_dev = 0.0
+        max_dev = max_gap = 0.0
         outside_ok = True
         for j in range(101):
             p = j / 100
@@ -506,6 +512,9 @@ def _suite_relation(output: str | None) -> list[tuple[str, bool, str]]:
             )
             if (p <= pair.p_low or p >= pair.p_high) and (dp_value >= 1e-6 or rel_value >= 1e-6):
                 outside_ok = False
+            if pair.p_low + 0.01 <= p <= pair.p_high - 0.01:
+                depth_value = analytic.zebra_dp(params, p, 1000)[-1].z
+                max_gap = max(max_gap, abs(dp_value - depth_value))
         mid_dp = analytic.zebra_limit(params, 0.5)
         mid_rel = analytic.zebra_via_relation(params, 0.5)
         results.append(
@@ -518,16 +527,23 @@ def _suite_relation(output: str | None) -> list[tuple[str, bool, str]]:
         )
         results.append(
             (
+                f"relation recursion k={k}",
+                max_gap <= 1e-12,
+                f"max |dp-limit - depth-1000 recursion| = {max_gap:.3e} "
+                f"on the grid points at least 0.01 inside the thresholds",
+            )
+        )
+        results.append(
+            (
                 f"relation report k={k}",
                 True,
                 f"max pointwise |dp-limit - relation| = {max_dev:.6f} (reported, not asserted)",
             )
         )
-    if output is None:
+    if csv_line is None:
         results.append(("relation csv", True, "deviation grid not written (no --output)"))
         return results
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    csv_line("\n".join(lines))
     results.append(("relation csv", True, f"deviation grid written to {output}"))
     return results
 
@@ -537,23 +553,28 @@ _VERIFY_FIELDS = {"suite": "all", "output": None}
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rc = _resolve(args, _VERIFY_FIELDS)
-    runners = {
-        "closed-form": _suite_closed_form,
-        "inverse": _suite_inverse,
-        "oracle": _suite_oracle,
-        "transform": _suite_transform,
-        "relation": lambda: _suite_relation(rc["output"]),
-    }
-    names = list(runners) if rc["suite"] == "all" else [rc["suite"]]
-    all_ok = True
-    for name in names:
-        try:
-            results = runners[name]()
-        except Exception as exc:  # a crashed suite fails, and the others still run
-            results = [(name, False, f"{type(exc).__name__}: {exc}")]
-        for check, ok, detail in results:
-            print(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
-            all_ok = all_ok and ok
+    suite = rc["suite"]
+    names = [s for s in CHOICES["suite"] if s != "all"] if suite == "all" else [suite]
+    # the relation suite's CSV is opened first, so that a bad --output
+    # stops the run before any suite does work
+    output = rc["output"] if "relation" in names else None
+    with _writer(output) if output else contextlib.nullcontext() as csv_line:
+        runners = {
+            "closed-form": _suite_closed_form,
+            "inverse": _suite_inverse,
+            "oracle": _suite_oracle,
+            "transform": _suite_transform,
+            "relation": lambda: _suite_relation(csv_line, output),
+        }
+        all_ok = True
+        for name in names:
+            try:
+                results = runners[name]()
+            except Exception as exc:  # a crashed suite fails, and the others still run
+                results = [(name, False, f"{type(exc).__name__}: {exc}")]
+            for check, ok, detail in results:
+                print(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
+                all_ok = all_ok and ok
     return 0 if all_ok else 1
 
 

@@ -19,7 +19,7 @@ import sys
 from collections import namedtuple
 
 from . import tree
-from .analytic import NonConvergenceError, zebra_limit
+from .analytic import zebra_limit
 from .params import (
     BISECTION_CONFIG,
     MC_BISECTION_CONFIG,
@@ -387,18 +387,13 @@ def find_critical_dp(
 ) -> float:
     """Locate one zebra-percolation threshold by bisecting the depth limit.
 
-    The indicator is 'zebra_limit > threshold'; near-critical non-convergence
-    of the limit iteration counts as below the threshold. Raises NoBracket
-    when the indicator does not change over the initial bracket (k = 2).
+    The indicator is 'zebra_limit > threshold'; the limit converges at every
+    p, however close to a threshold. Raises NoBracket when the indicator does
+    not change over the initial bracket (k = 2).
     """
-
-    def positive(p: float) -> bool:
-        try:
-            return zebra_limit(params, p) > threshold
-        except NonConvergenceError:
-            return False
-
-    return _bisect_indicator(params, side, positive, cfg.tol)
+    return _bisect_indicator(
+        params, side, lambda p: zebra_limit(params, p) > threshold, cfg.tol
+    )
 
 
 def mc_indicator_threshold(params: TreeParams, depth: int) -> float:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,48 @@ class TestZebraLimit:
         for k in (3, 4):
             assert zebra_limit(TreeParams(k), 0.0) == 0.0
             assert zebra_limit(TreeParams(k), 1.0) == 0.0
+
+    @staticmethod
+    def decimal_limit(k, p, degrees):
+        """Root values at 50 digits over each root degree, from a bisection for
+        the largest fixed point a of a -> F(G(a)) on (0, 1]."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            p = Decimal(p)
+            q = 1 - p
+
+            def g(a):
+                return 1 - (1 - q * a) ** k
+
+            lo, hi = Decimal(0), Decimal(1)
+            for _ in range(170):
+                mid = (lo + hi) / 2
+                if 1 - (1 - p * g(mid)) ** k > mid:
+                    lo = mid
+                else:
+                    hi = mid
+            return [float(1 - (1 - (p * g(lo) + q * lo)) ** d) for d in degrees]
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_matches_50_digit_reference_near_thresholds(self, k):
+        cfg = SolverConfig(tol=1e-10, max_iter=60)  # LIMIT_CONFIG's tol, 60 Newton steps
+        pair = zebra_critical_pair(TreeParams(k))
+        modes = list(RootMode)
+        for j in range(2, 11):
+            for p in (pair.p_low + 10.0**-j, pair.p_high - 10.0**-j):
+                refs = self.decimal_limit(k, p, [TreeParams(k, m).root_degree for m in modes])
+                for mode, ref in zip(modes, refs):
+                    value = zebra_limit(TreeParams(k, mode), p, cfg)
+                    assert abs(value - ref) <= 1e-12 * ref, (mode, p, value, ref)
+
+    def test_exact_threshold(self):
+        # the first float with k^2 p (1-p) > 1 in exact arithmetic is inside
+        for k in (3, 4, 5, 6):
+            p = zebra_critical_pair(TreeParams(k)).p_low * (1.0 - 1e-14)
+            while k * k * Fraction(p) * (1 - Fraction(p)) <= 1:
+                p = math.nextafter(p, 1.0)
+            assert 0.0 < zebra_limit(TreeParams(k), p) < 1e-12
+            assert zebra_limit(TreeParams(k), math.nextafter(p, 0.0)) == 0.0
 
 
 class TestZebraViaRelation:

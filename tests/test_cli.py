@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import zebraperc
-from zebraperc import cli
+from zebraperc import TreeParams, cli, zebra_critical_pair
 from zebraperc.analytic import NonConvergenceError
 from zebraperc.cli import CSV_HEADER, main
 
@@ -40,6 +40,15 @@ class TestEval:
                                         "--method", "dp", "--tol", "1e-10"])
         assert code == 0
         assert out.splitlines()[1].split(",")[5] == "0"
+
+    @pytest.mark.parametrize("k, d", [(3, 1e-5), (3, 1e-6), (4, 1e-6), (5, 1e-6), (6, 1e-6)])
+    def test_dp_limit_just_above_p_low(self, capsys, k, d):
+        p = zebra_critical_pair(TreeParams(k)).p_low + d
+        code, out, _ = run_cli(capsys, ["eval", "--k", str(k), "--p", repr(p),
+                                        "--method", "dp", "--format", "json"])
+        assert code == 0
+        (row,) = out.splitlines()
+        assert json.loads(row)["value"] > 0.0
 
     def test_dp_finite_depth(self, capsys):
         code, out, _ = run_cli(capsys, ["eval", "--k", "2", "--p", "0.5",
@@ -241,6 +250,7 @@ class TestVerify:
                                         "--output", str(path)])
         assert code == 0
         assert "reported, not asserted" in out
+        assert "PASS relation recursion k=3" in out and "FAIL" not in out
         lines = path.read_text().splitlines()
         assert lines[0] == "k,p,dp_limit,relation,abs_dev"
         assert len(lines) == 1 + 2 * 101
@@ -424,6 +434,8 @@ class TestUnwritableOutput:
         ["sweep", "--k", "3", "--methods", "fixed-point", "--steps", "3"],
         ["critical", "--mode", "standard", "--k", "3"],
         ["transform-demo", "--k", "2", "--depth", "2"],
+        ["verify", "--suite", "relation"],
+        ["verify", "--suite", "all"],
     ])
     def test_exit_2_and_nothing_written(self, capsys, tmp_path, argv):
         path = tmp_path / "missing" / "x.csv"
