@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from functools import partial
 
 from . import analytic
 from .analytic import NonConvergenceError, UnsupportedOrderError
@@ -174,8 +175,8 @@ def _check_int(rc: dict, name: str, minimum: int) -> int:
 
 
 def _solver_cfg(rc: dict, default: SolverConfig) -> SolverConfig:
-    """--tol and --max-iter over the defaults of the solve they configure."""
-    tol, max_iter = rc["tol"], rc["max_iter"]
+    """--tol and, where the command has it, --max-iter over the solve's defaults."""
+    tol, max_iter = rc["tol"], rc.get("max_iter")
     if tol is None:
         tol = default.tol
     elif not (_is_int(tol) or isinstance(tol, float)) or not 0.0 < tol < math.inf:
@@ -261,21 +262,27 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
                       value, value, value, trials, seed)
 
 
-def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
-    """Evaluate every method at every p, in that order, and write one record each.
+def _write_rows(output: str | None, header: str | None, rows) -> int:
+    """Write the header, if any, and one line per row of the iterator `rows`.
 
-    The first point is evaluated before the output is opened, so a run that
-    fails on it writes nothing: no CSV header on stdout and no file.
+    The first row is computed before the output is opened, so a run that
+    fails on it writes nothing: no header on stdout and no file.
     """
-    points = (_evaluate_point(params, p, method, rc) for p in ps for method in methods)
-    first = next(points)
-    as_json = rc["format"] == "json"
-    with _writer(rc["output"]) as line:
-        if not as_json:
-            line(CSV_HEADER)
-        for point in itertools.chain([first], points):
-            line(point.json_line() if as_json else point.csv_row())
+    first = next(rows)
+    with _writer(output) as line:
+        if header:
+            line(header)
+        for row in itertools.chain([first], rows):
+            line(row)
     return 0
+
+
+def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
+    """Evaluate every method at every p, in that order, and write one record each."""
+    points = (_evaluate_point(params, p, method, rc) for p in ps for method in methods)
+    if rc["format"] == "json":
+        return _write_rows(rc["output"], None, (point.json_line() for point in points))
+    return _write_rows(rc["output"], CSV_HEADER, (point.csv_row() for point in points))
 
 
 # ---------------------------------------------------------------------------
@@ -327,46 +334,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _write_points(params, _grid(pmin, pmax, steps), methods, rc)
 
 
+# No --max-iter: bisection halves a fixed bracket until it is narrower than --tol.
 _CRITICAL_FIELDS = {
     "k": 3, "root_mode": "rooted-k", "output": None, "mode": "standard", "depth": 16,
-    "trials": 10000, "seed": 0, "tol": None, "max_iter": None,
+    "trials": 10000, "seed": 0, "tol": None,
 }
 
 CRITICAL_HEADER = "k,mode,side,value,reference,abs_gap"
 
 
+def _critical_rows(params: TreeParams, rc: dict):
+    """The rows of `critical`, each located when it is asked for."""
+    mode = rc["mode"]
+    if mode == "standard":
+        value = analytic.standard_critical(params)
+        yield f"{params.k},standard,point,{_fmt(value)},{_fmt(value)},0"
+        return
+    from . import montecarlo
+
+    if mode == "zebra-dp":
+        locate = partial(montecarlo.find_critical_dp, params, cfg=_solver_cfg(rc, BISECTION_CONFIG))
+    else:
+        locate = partial(montecarlo.find_critical_mc, params,
+                         cfg=_solver_cfg(rc, MC_BISECTION_CONFIG),
+                         depth=_check_int(rc, "depth", 1), trials=_check_int(rc, "trials", 1),
+                         seed=_check_int(rc, "seed", 0), workers=_workers_from_env())
+    pair = analytic.zebra_critical_pair(params)
+    for side, ref in ((montecarlo.Side.LOWER, pair.p_low), (montecarlo.Side.UPPER, pair.p_high)):
+        located = locate(side)
+        yield f"{params.k},{mode},{side.value},{_fmt(located)},{_fmt(ref)},{_fmt(abs(located - ref))}"
+
+
 def cmd_critical(args: argparse.Namespace) -> int:
     rc = _resolve(args, _CRITICAL_FIELDS)
-    params = _tree_params(rc)
-    mode = rc["mode"]
-    if mode == "zebra-dp":
-        cfg = _solver_cfg(rc, BISECTION_CONFIG)
-    elif mode == "zebra-mc":
-        cfg = _solver_cfg(rc, MC_BISECTION_CONFIG)
-        depth, trials = _check_int(rc, "depth", 1), _check_int(rc, "trials", 1)
-        seed, workers = _check_int(rc, "seed", 0), _workers_from_env()
-    with _writer(rc["output"]) as line:
-        line(CRITICAL_HEADER)
-        if mode == "standard":
-            value = analytic.standard_critical(params)
-            line(f"{params.k},standard,point,{_fmt(value)},{_fmt(value)},0")
-            return 0
-        from . import montecarlo
-
-        pair = analytic.zebra_critical_pair(params)
-        for side, ref in ((montecarlo.Side.LOWER, pair.p_low),
-                          (montecarlo.Side.UPPER, pair.p_high)):
-            if mode == "zebra-dp":
-                located = montecarlo.find_critical_dp(params, side, cfg)
-            else:
-                located = montecarlo.find_critical_mc(
-                    params, side, depth, trials, seed, cfg, workers=workers
-                )
-            line(
-                f"{params.k},{mode},{side.value},{_fmt(located)},{_fmt(ref)},"
-                f"{_fmt(abs(located - ref))}"
-            )
-        return 0
+    return _write_rows(rc["output"], CRITICAL_HEADER, _critical_rows(_tree_params(rc), rc))
 
 
 # ---------------------------------------------------------------------------
@@ -459,27 +460,19 @@ def _suite_oracle() -> list[tuple[str, bool, str]]:
 
 def _suite_transform() -> list[tuple[str, bool, str]]:
     from . import montecarlo, tree
-    from .rng import TrialStream
 
-    results = []
     params2 = TreeParams(k=2)
-    exhaustive_ok = all(
-        tree.correspondence_holds(params2, sigma)
-        for sigma in tree.enumerate_configs(params2, 2)
-    )
-    results.append(
-        ("transform exhaustive k=2 depth=2", exhaustive_ok, "all 64 configurations")
-    )
+    holds = tree.transform_check(params2, 1)
+    exhaustive_ok = all(map(holds, range(1 << tree.edge_count(params2, 2))))
+    results = [("transform exhaustive k=2 depth=2", exhaustive_ok, "all 64 configurations")]
     checks = [
         ("k=2 depth=4", params2, 2, 16384),
         ("k=2 depth=6", params2, 3, 10000),
         ("k=3 depth=4", TreeParams(k=3), 2, 10000),
     ]
     for label, params, m, count in checks:
-        ok = all(
-            montecarlo.transform_equivalence_trial(params, 0.5, m, TrialStream(0, t))
-            for t in range(count)
-        )
+        ok = all(montecarlo.transform_equivalence(params, 0.5, m, bases)
+                 for bases in montecarlo.chunk_bases(0, 0, count))
         results.append((f"transform sampled {label}", ok, f"{count} seeded configurations"))
     return results
 

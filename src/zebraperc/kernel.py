@@ -21,12 +21,11 @@ import math
 import sys
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import compress
 
 from .params import TreeParams
 from .rng import _GOLDEN, _MASK, ROOT_KEY
-from .tree import level_size
 
 #: Trials searched together; a longer chunk runs in several batches. An
 #: existence search advances every trial of a batch in lockstep, so a batch
@@ -273,15 +272,16 @@ def zebra_counts(params: TreeParams, p: float, n: int, bases: Sequence[int]) -> 
     return counts
 
 
-def level_flags(params: TreeParams, p: float, depth: int, base: int) -> Iterator[bytes]:
-    """Open flags of every edge of the depth-truncation in the trial with base word base.
+def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytes:
+    """Open flags of a fixed list of edges in every trial of a batch, in one step.
 
-    One bytes object per level, from the root's children down, each in the
-    lexicographic order of the edges' addresses (tree.vertices_at_level).
+    keys[j] is the address key of edge j (rng.vertex_key). Byte t*len(keys) + j
+    is 1 when mix64(bases[t] ^ keys[j]) is below open_threshold(p), the guard
+    bit of Rounds.expand: edge j is open in the trial with base word bases[t].
     """
-    rounds = Rounds(p, level_size(params, depth), (params.root_degree, params.k))
-    keys, arity = array("Q", [ROOT_KEY]), params.root_degree
-    for _ in range(depth):
-        lanes = rounds.expand(keys, array("Q", [base]) * len(keys), arity)
-        yield lane_flags(lanes)
-        keys, arity = lane_keys(lanes), params.k
+    n = len(keys) * len(bases)
+    rounds = Rounds(p, n, ())
+    trial_words = b"".join(_lane_bytes(base) * len(keys) for base in bases)
+    word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), rounds.mask)
+    diff = rounds.guard - word
+    return lane_flags((diff ^ (diff & rounds.mask)).to_bytes(_LANE * n, "little"))

@@ -29,9 +29,10 @@ from .params import (
     TreeParams,
     check_probability,
 )
-from .rng import TrialStream, derive_seed
-from .tree import EdgeState, SigmaConfig
+from .rng import TrialStream, derive_seed, vertex_key
 
+#: Open flags (bytes 0 and 1) as binary digits.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 #: Normal quantile for two-sided 95% intervals.
 Z95 = 1.959963984540054
 
@@ -151,31 +152,34 @@ def count_zebra_connected(params: TreeParams, p: float, n: int, stream: TrialStr
     return kernel.zebra_counts(params, p, n, [stream.base])[stream.base]
 
 
-_EDGE_STATES = (EdgeState.CLOSED, EdgeState.OPEN)
+def sample_codes(params: TreeParams, depth: int, p: float, bases: list[int]) -> list[int]:
+    """Configuration codes of the depth-truncation, one per trial base word, in one kernel step.
 
-
-def sample_sigma(params: TreeParams, depth: int, p: float, stream: TrialStream) -> SigmaConfig:
-    """Materialize a full bond configuration of the depth-truncation.
-
-    Each level is one kernel expansion of the level above, so the explicit
-    configuration agrees bond for bond with what a sampler would have drawn.
+    Bit j is the state, 1 open, of edge j of tree.edges(params, depth), drawn
+    from its address key by the rng contract, as the samplers draw it.
     """
+    from . import kernel
+
+    keys = list(map(vertex_key, tree.edges(params, depth)))
+    n = len(keys)
+    digits = kernel.edge_flags(p, keys, bases).translate(_DIGITS)
+    return [int(digits[t * n:(t + 1) * n][::-1], 2) for t in range(len(bases))]
+
+
+def sample_sigma(params: TreeParams, depth: int, p: float, stream: TrialStream) -> tree.SigmaConfig:
+    """A full bond configuration of the depth-truncation as a dict, the input/output form of
+    sample_codes for the one trial of `stream`."""
     check_probability(p)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    from . import kernel
-
-    states: dict[tree.Address, EdgeState] = {}
-    for level, flags in enumerate(kernel.level_flags(params, p, depth, stream.base), start=1):
-        states.update(zip(tree.vertices_at_level(params, level),
-                          map(_EDGE_STATES.__getitem__, flags)))
-    return SigmaConfig(depth=depth, states=states)
+    (code,) = sample_codes(params, depth, p, [stream.base])
+    return tree.sigma_of_code(tree.edges(params, depth), depth, code)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
-def _chunk_bases(seed: int, start: int, stop: int):
+def chunk_bases(seed: int, start: int, stop: int):
     """Trial base words of trials start .. stop-1, in kernel batches."""
     from . import kernel
 
@@ -190,7 +194,7 @@ def _bernoulli_chunk(args) -> int:
 
     alternate = event.kind is EventKind.ZEBRA_RAY
     return sum(len(kernel.ray_hits(params, p, event.depth, bases, alternate))
-               for bases in _chunk_bases(seed, start, stop))
+               for bases in chunk_bases(seed, start, stop))
 
 
 def _count_chunk(args) -> tuple[int, int]:
@@ -198,7 +202,7 @@ def _count_chunk(args) -> tuple[int, int]:
     from . import kernel
 
     total = total_sq = 0
-    for bases in _chunk_bases(seed, start, stop):
+    for bases in chunk_bases(seed, start, stop):
         counts = kernel.zebra_counts(params, p, event.depth, bases).values()
         total += sum(counts)
         total_sq += sum(x * x for x in counts)
@@ -329,8 +333,8 @@ def brute_force_probability(
     bit-identical from run to run.
     """
     check_probability(p)
+    n_edges = tree.check_enumerable(params, event.depth)
     roots, below = tree.edge_lists(params, event.depth)
-    n_edges = len(below)
     alternate = event.kind is not EventKind.OPEN_RAY
     count = event.kind is EventKind.ZEBRA_COUNT
     if exact:
@@ -340,7 +344,7 @@ def brute_force_probability(
         for code in range(1 << n_edges):
             ends = tree.path_ends(roots, below, code, alternate)
             if ends:
-                tally[code.bit_count()] += ends if count else 1
+                tally[code.bit_count()] += len(ends) if count else 1
         pf = Fraction(p)
         return sum(
             (mult * pf**opens * (1 - pf) ** (n_edges - opens)
@@ -353,23 +357,27 @@ def brute_force_probability(
     for code in range(1 << n_edges):
         ends = tree.path_ends(roots, below, code, alternate)
         if ends:
-            weight_mult = ends if count else 1
+            weight_mult = len(ends) if count else 1
             opens = code.bit_count()
             total += weight_mult * p_pow[opens] * q_pow[n_edges - opens]
     return total
 
 
+def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]) -> bool:
+    """Sample a depth-2m configuration per trial base word and check the pair-transform correspondence.
+
+    Contract: always True; any False is an implementation defect. The trials
+    are sampled in one step, so pass at most a batch of chunk_bases at a time.
+    """
+    check_probability(p)
+    return all(map(tree.transform_check(params, m), sample_codes(params, 2 * m, p, bases)))
+
+
 def transform_equivalence_trial(
     params: TreeParams, p: float, m: int, rng: TrialStream
 ) -> bool:
-    """Sample a depth-2m configuration and check the pair-transform correspondence.
-
-    Contract: always True; any False is an implementation defect.
-    """
-    if m < 1:
-        raise ValueError(f"half-depth must be >= 1, got {m}")
-    sigma = sample_sigma(params, 2 * m, p, rng)
-    return tree.correspondence_holds(params, sigma)
+    """transform_equivalence on the one trial of `rng`."""
+    return transform_equivalence(params, p, m, [rng.base])
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +464,8 @@ def _bisect_indicator(params: TreeParams, side: Side, positive, tol: float) -> f
         raise NoBracketError(
             f"no zebra-percolation transition inside ({lo}, {hi}) for k={params.k}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    # the midpoint test also ends a tol below the spacing of floats at lo and hi
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if positive(mid) == hi_pos:
             hi = mid
         else:

@@ -1,11 +1,16 @@
-"""Address arithmetic on truncated rooted trees and the even-level pair transform.
+"""Configurations of truncated rooted trees as integer codes, and the even-level pair transform.
 
 A vertex is a tuple of child indices (the root is the empty tuple) and an edge
-is identified by its lower endpoint, so the tree is never materialized: every
-structural question is answered by arithmetic on addresses. The transform maps
-bond configurations on the order-k tree to signed configurations on the tree
-over its even levels, whose interior branching order is k^2; each transformed
-edge covers two consecutive base edges.
+is identified by its lower endpoint. Configurations are computed on as codes:
+bit j is the state, 1 open, of edge j of edges(params, depth), and paths are
+walks over the child-edge indices of edge_lists. SigmaConfig and PhiConfig,
+dicts from address to state, are input/output only: what enumerate_configs and
+montecarlo.sample_sigma return, what dump_*/load_sigma write and read.
+
+The transform maps bond configurations on the order-k tree to signed
+configurations on the tree over its even levels, whose interior branching
+order is k^2; each transformed edge covers two consecutive base edges. On
+codes the image is two codes, plus and minus, over the transformed edges.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import enum
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import partial
+from operator import itemgetter
 
 from .params import TooLargeError, TreeParams
 
@@ -37,9 +42,6 @@ class OddDepthError(ValueError):
 class EdgeState(enum.IntEnum):
     CLOSED = 0
     OPEN = 1
-
-    def flipped(self) -> "EdgeState":
-        return EdgeState.CLOSED if self is EdgeState.OPEN else EdgeState.OPEN
 
 
 class PhiValue(enum.IntEnum):
@@ -120,25 +122,14 @@ def edges(params: TreeParams, depth: int) -> list[Address]:
 # ---------------------------------------------------------------------------
 # transformed-tree addressing
 
-def hat_root_degree(params: TreeParams) -> int:
-    return params.root_degree * params.k
+#: Interior order and root degree: all that the addressing functions read of TreeParams.
+_Shape = namedtuple("_Shape", "k root_degree")
 
 
-def hat_degree(params: TreeParams, hv: Address) -> int:
-    return hat_root_degree(params) if not hv else params.k * params.k
-
-
-def hat_children(params: TreeParams, hv: Address) -> list[Address]:
-    return [hv + (i,) for i in range(hat_degree(params, hv))]
-
-
-def hat_vertices_at_level(params: TreeParams, m: int) -> Iterator[Address]:
-    if m == 0:
-        yield ROOT
-        return
-    ranges = [range(hat_root_degree(params))]
-    ranges += [range(params.k * params.k)] * (m - 1)
-    yield from itertools.product(*ranges)
+def hat_shape(params: TreeParams) -> _Shape:
+    """The transformed tree in the form children, edges and edge_lists take: its
+    root has root_degree * k children and every other vertex k^2."""
+    return _Shape(params.k * params.k, params.root_degree * params.k)
 
 
 def hat_to_base(params: TreeParams, hv: Address) -> Address:
@@ -177,70 +168,18 @@ def hat_edge_decompose(params: TreeParams, x: Address, z: Address) -> tuple[Addr
     return z[:-1], z
 
 
-def phi_of_sigma(params: TreeParams, sigma: SigmaConfig) -> PhiConfig:
-    """Image of a bond configuration on the transformed tree.
-
-    A transformed edge takes +1 when its base pair is (open, closed), -1 for
-    (closed, open), and 0 when the two base states agree; the first member of
-    the pair is the base edge closer to the root.
-    """
-    if sigma.depth % 2:
-        raise OddDepthError(f"even depth required, got {sigma.depth}")
-    if sigma.depth < 2:
-        raise ValueError(f"depth must be >= 2, got {sigma.depth}")
-    states = sigma.states
-    values: dict[Address, PhiValue] = {}
-    for m in range(1, sigma.depth // 2 + 1):
-        for hv in hat_vertices_at_level(params, m):
-            z = hat_to_base(params, hv)
-            s1 = states[z[:-1]]
-            s2 = states[z]
-            if s1 == s2:
-                values[hv] = PhiValue.ZERO
-            elif s1 is EdgeState.OPEN:
-                values[hv] = PhiValue.PLUS
-            else:
-                values[hv] = PhiValue.MINUS
-    return PhiConfig(depth=sigma.depth // 2, values=values)
-
-
 # ---------------------------------------------------------------------------
-# exhaustive enumeration
-
-def _enumerable_edges(params: TreeParams, depth: int) -> list[Address]:
-    n_edges = edge_count(params, depth)
-    if n_edges > MAX_ENUM_EDGES:
-        raise TooLargeError(
-            f"{n_edges} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}"
-        )
-    return edges(params, depth)
-
-
-def enumerate_configs(params: TreeParams, depth: int) -> Iterator[SigmaConfig]:
-    """Yield every bond configuration of the depth-truncation exactly once.
-
-    Reproducibility contract: the configurations come in increasing order of
-    their code, an integer below 2**edge_count whose bit j (least significant
-    first) is the state, 1 open, of edge j of edges(params, depth), the
-    lexicographically sorted edge list. The code-th configuration yielded is
-    the one path_ends and brute-force sums see as `code`.
-    """
-    edge_list = _enumerable_edges(params, depth)
-    for code in range(1 << len(edge_list)):
-        states = {e: EdgeState((code >> j) & 1) for j, e in enumerate(edge_list)}
-        yield SigmaConfig(depth=depth, states=states)
-
+# edge indices and codes
 
 def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int]]]:
     """Child-edge indices of the depth-truncation, for configurations held as codes.
 
     Edge j is edges(params, depth)[j]. Returns the indices of the edges below
     the root and, for each edge j, the indices of the edges just below its
-    lower endpoint (empty on the last level). Raises TooLargeError past
-    MAX_ENUM_EDGES edges, before any edge is listed.
+    lower endpoint (empty on the last level).
     """
-    edge_list = _enumerable_edges(params, depth)
-    index = {e: j for j, e in enumerate(edge_list)}
+    edge_list = edges(params, depth)
+    index = dict(zip(edge_list, itertools.count()))
     below = [
         [index[c] for c in children(params, e)] if len(e) < depth else []
         for e in edge_list
@@ -248,14 +187,47 @@ def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int
     return [index[c] for c in children(params, ROOT)], below
 
 
-def path_ends(roots: list[int], below: list[list[int]], code: int, alternate: bool) -> int:
-    """Number of last-level edges whose path from the root follows the rule in `code`.
+def _code(edge_list: list[Address], labels: dict, label) -> int:
+    """The code whose bit j is set when edge edge_list[j] carries `label`."""
+    return sum(1 << j for j, e in enumerate(edge_list) if labels[e] is label)
+
+
+def sigma_of_code(edge_list: list[Address], depth: int, code: int) -> SigmaConfig:
+    """The SigmaConfig of a code of the depth-truncation; edge_list is edges(params, depth)."""
+    return SigmaConfig(depth, {e: EdgeState(code >> j & 1) for j, e in enumerate(edge_list)})
+
+
+def check_enumerable(params: TreeParams, depth: int) -> int:
+    """Edge count of the depth-truncation; TooLargeError past MAX_ENUM_EDGES."""
+    n_edges = edge_count(params, depth)
+    if n_edges > MAX_ENUM_EDGES:
+        raise TooLargeError(f"{n_edges} edges exceeds the enumeration cap of {MAX_ENUM_EDGES}")
+    return n_edges
+
+
+def enumerate_configs(params: TreeParams, depth: int) -> Iterator[SigmaConfig]:
+    """Yield every bond configuration of the depth-truncation exactly once, as dicts.
+
+    The configurations are the codes 0 .. 2**edge_count - 1 in increasing
+    order, each turned into its SigmaConfig: code bit j (least significant
+    first) is the state, 1 open, of edge j of edges(params, depth). The
+    code-th configuration yielded is the one path_ends and brute-force sums
+    see as `code`. Raises TooLargeError past MAX_ENUM_EDGES edges.
+    """
+    check_enumerable(params, depth)
+    edge_list = edges(params, depth)
+    for code in range(1 << len(edge_list)):
+        yield sigma_of_code(edge_list, depth, code)
+
+
+def path_ends(roots: list[int], below: list[list[int]], code: int, alternate: bool) -> list[int]:
+    """The last-level edges whose path from the root follows the rule in `code`, in child order.
 
     `roots` and `below` come from edge_lists and `code` is a configuration
     (bit j is the state of edge j). With alternate=False every edge of the
     path must be open (an open ray); with alternate=True the first edge may
     take either state and every later edge the opposite of the one above it
-    (a zebra path). The walk goes one level at a time.
+    (a zebra path); a subset of the root edges pins the first edge.
     """
     if alternate:
         frontier = roots
@@ -265,40 +237,96 @@ def path_ends(roots: list[int], below: list[list[int]], code: int, alternate: bo
         frontier = [j for j in roots if code >> j & 1]
         while frontier and below[frontier[0]]:
             frontier = [c for j in frontier for c in below[j] if code >> c & 1]
-    return len(frontier)
+    return frontier
 
 
 # ---------------------------------------------------------------------------
-# path witnesses on explicit configurations
+# the pair transform on codes
 
-def _first_path(kids, labels, length: int, want, follow) -> list[Address] | None:
-    """Vertices of the first descending path of `length` edges, in child order, or None.
+def transform_codes(params: TreeParams, m: int):
+    """The transform of depth-2m codes: code -> (plus, minus), codes over edges(hat_shape(params), m).
 
-    `kids(v)` lists the children of v and `labels` maps each edge (its lower
-    endpoint) to its state. The first edge must carry `want` (None admits any
-    state); below an edge carrying s, the next edge must carry follow(s).
+    A transformed edge is + when its base pair is (open, closed), - for
+    (closed, open), and 0 when the two base states agree; the first member of
+    the pair is the base edge closer to the root.
+    """
+    if m < 1:
+        raise ValueError(f"half-depth must be >= 1, got {m}")
+    edge_list = edges(params, 2 * m)
+    top = len(edge_list) - 1
+    index = dict(zip(edge_list, itertools.count()))
+    ends = [hat_to_base(params, hv) for hv in reversed(edges(hat_shape(params), m))]
+    # bit j of a code is digit top - j of its binary numeral, which lists the last bit first
+    upper = itemgetter(*[top - index[z[:-1]] for z in ends])
+    lower = itemgetter(*[top - index[z] for z in ends])
+
+    def phi(code: int) -> tuple[int, int]:
+        digits = format(code, f"0{top + 1}b")
+        a, b = int("".join(upper(digits)), 2), int("".join(lower(digits)), 2)
+        return a & ~b, b & ~a
+
+    return phi
+
+
+def transform_check(params: TreeParams, m: int):
+    """The alternating-ray / constant-sign-path correspondence as a test on depth-2m codes.
+
+    holds(code) is True when an alternating ray of length 2m whose first edge
+    is open exists exactly when a length-m all-plus path exists in the image,
+    and likewise closed/minus. The indices are built once, here.
+    """
+    phi = transform_codes(params, m)
+    roots, below = edge_lists(params, 2 * m)
+    hat_roots, hat_below = edge_lists(hat_shape(params), m)
+
+    def holds(code: int) -> bool:
+        plus, minus = phi(code)
+        for state, signed in ((1, plus), (0, minus)):
+            first = [j for j in roots if code >> j & 1 == state]
+            if bool(path_ends(first, below, code, True)) != bool(
+                    path_ends(hat_roots, hat_below, signed, False)):
+                return False
+        return True
+
+    return holds
+
+
+def phi_of_sigma(params: TreeParams, sigma: SigmaConfig) -> PhiConfig:
+    """Image of a bond configuration on the transformed tree, as a dict (transform_codes)."""
+    if sigma.depth % 2:
+        raise OddDepthError(f"even depth required, got {sigma.depth}")
+    m = sigma.depth // 2
+    code = _code(edges(params, sigma.depth), sigma.states, EdgeState.OPEN)
+    plus, minus = transform_codes(params, m)(code)
+    values = {hv: PhiValue((plus >> j & 1) - (minus >> j & 1))
+              for j, hv in enumerate(edges(hat_shape(params), m))}
+    return PhiConfig(depth=m, values=values)
+
+
+# ---------------------------------------------------------------------------
+# path witnesses and counts on explicit configurations
+
+def _witness(params, length: int, labels: dict, label, first,
+             alternate: bool) -> list[Address] | None:
+    """Vertices of the first path of `length` edges in child order, or None.
+
+    An edge is set when it carries `label`, the path follows path_ends' rule,
+    and `first`, 1 or 0, pins the first edge as set or clear.
     """
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
-
-    def search(v: Address, want, remaining: int) -> list[Address] | None:
-        for c in kids(v):
-            s = labels[c]
-            if want is None or s is want:
-                if remaining == 1:
-                    return [c]
-                tail = search(c, follow(s), remaining - 1)
-                if tail is not None:
-                    return [c] + tail
-        return None
-
-    return search(ROOT, want, length)
+    edge_list = edges(params, length)
+    roots, below = edge_lists(params, length)
+    code = _code(edge_list, labels, label)
+    if first is not None:
+        roots = [j for j in roots if code >> j & 1 == first]
+    ends = path_ends(roots, below, code, alternate)
+    return [edge_list[ends[0]][:n] for n in range(1, length + 1)] if ends else None
 
 
 def open_ray_witness(params: TreeParams, sigma: SigmaConfig, length: int) -> list[Address] | None:
     """Vertices of one descending all-open path of the given length, or None."""
-    return _first_path(partial(children, params), sigma.states, length, EdgeState.OPEN,
-                       lambda s: s)
+    return _witness(params, length, sigma.states, EdgeState.OPEN, None, False)
 
 
 def zebra_ray_witness(
@@ -311,52 +339,22 @@ def zebra_ray_witness(
 
     `first` pins the state of the first edge; None admits either state.
     """
-    return _first_path(partial(children, params), sigma.states, length, first,
-                       EdgeState.flipped)
-
-
-def zebra_connected_count(params: TreeParams, sigma: SigmaConfig, depth: int) -> int:
-    """Number of depth-`depth` vertices whose root path alternates open/closed."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    states = sigma.states
-
-    def walk(v: Address, required: EdgeState | None, remaining: int) -> int:
-        total = 0
-        for c in children(params, v):
-            s = states[c]
-            if required is None or s is required:
-                if remaining == 1:
-                    total += 1
-                else:
-                    total += walk(c, s.flipped(), remaining - 1)
-        return total
-
-    return walk(ROOT, None, depth)
+    return _witness(params, length, sigma.states, EdgeState.OPEN, first, True)
 
 
 def signed_path_witness(
     params: TreeParams, phi: PhiConfig, length: int, sign: PhiValue
 ) -> list[Address] | None:
     """Descending constant-`sign` path of the given length in a transformed config."""
-    return _first_path(partial(hat_children, params), phi.values, length, sign,
-                       lambda s: s)
+    return _witness(hat_shape(params), length, phi.values, sign, None, False)
 
 
-def correspondence_holds(params: TreeParams, sigma: SigmaConfig) -> bool:
-    """Check the alternating-ray / constant-sign-path correspondence for one config.
-
-    For a depth-2m configuration: an alternating ray of length 2m whose first
-    edge is open exists exactly when a length-m all-plus path exists in the
-    image, and likewise closed/minus.
-    """
-    phi = phi_of_sigma(params, sigma)
-    m = phi.depth
-    open_ray = zebra_ray_witness(params, sigma, 2 * m, first=EdgeState.OPEN) is not None
-    plus_path = signed_path_witness(params, phi, m, PhiValue.PLUS) is not None
-    closed_ray = zebra_ray_witness(params, sigma, 2 * m, first=EdgeState.CLOSED) is not None
-    minus_path = signed_path_witness(params, phi, m, PhiValue.MINUS) is not None
-    return open_ray == plus_path and closed_ray == minus_path
+def zebra_connected_count(params: TreeParams, sigma: SigmaConfig, depth: int) -> int:
+    """Number of depth-`depth` vertices whose root path alternates open/closed."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    code = _code(edges(params, depth), sigma.states, EdgeState.OPEN)
+    return len(path_ends(*edge_lists(params, depth), code, True))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ from zebraperc.cli import CSV_HEADER, main
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses unknown flags this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -168,6 +171,16 @@ class TestExitCodes:
         assert code == 5
         assert "k=2" in err
 
+    @pytest.mark.parametrize("mode", ["zebra-dp", "zebra-mc"])
+    def test_no_bracket_writes_nothing(self, capsys, tmp_path, mode):
+        argv = ["critical", "--k", "2", "--mode", mode, "--depth", "4", "--trials", "50"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 5 and out == ""
+        path = tmp_path / "critical.csv"
+        code, out, _ = run_cli(capsys, argv + ["--output", str(path)])
+        assert code == 5 and out == ""
+        assert not path.exists()
+
 
 class TestSweep:
     def test_triplet_row_count_and_order(self, capsys):
@@ -277,6 +290,16 @@ class TestVerify:
         assert lines[-1].startswith("PASS relation csv")
         assert sum(line.startswith("FAIL") for line in lines) == 1
         assert "Traceback" not in err
+
+    def test_transform_suite(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "transform"])
+        assert code == 0
+        assert out == (
+            "PASS transform exhaustive k=2 depth=2: all 64 configurations\n"
+            "PASS transform sampled k=2 depth=4: 16384 seeded configurations\n"
+            "PASS transform sampled k=2 depth=6: 10000 seeded configurations\n"
+            "PASS transform sampled k=3 depth=4: 10000 seeded configurations\n"
+        )
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--suite", "nope"])
@@ -388,17 +411,22 @@ class TestConfigPrecedence:
         code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
         assert code == 2
         assert out == ""
-        assert f"error: {field}:" in err and "Traceback" not in err
+        if argv[0] == "critical" and field == "--max-iter":  # critical has no max_iter key
+            field = "--config: unknown keys ['max_iter']"
+        assert f"error: {field}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["critical", "--k", "3", "--mode", "zebra-dp", "--max-iter", "0"],
+        ["critical", "--k", "3", "--mode", "zebra-dp", "--max-iter", "1"],
         ["eval", "--k", "3", "--p", "0.5", "--method", "dp", "--tol", "0"],
     ])
     def test_solver_flags_validated(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "error: --max-iter:" in err or "error: --tol:" in err
+        if argv[0] == "critical":  # critical has no --max-iter
+            assert "error: unrecognized arguments: --max-iter 1" in err
+        else:
+            assert "error: --tol:" in err
 
     @pytest.mark.parametrize("argv,config,field", [
         (["eval", "--method", "mc", "--depth", "2"], {"p": 0.5, "event": ["x"]}, "--event"),
@@ -454,7 +482,7 @@ class TestSurface:
                   "--methods", "--event", "--depth", "--trials", "--seed", "--tol",
                   "--max-iter", "--exact", "--format"],
         "critical": ["--k", "--full-cayley", "--config", "--output", "--mode", "--depth",
-                     "--trials", "--seed", "--tol", "--max-iter"],
+                     "--trials", "--seed", "--tol"],
         "verify": ["--suite", "--config", "--output"],
         "transform-demo": ["--k", "--full-cayley", "--config", "--output", "--depth", "--p",
                            "--seed", "--input"],

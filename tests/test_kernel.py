@@ -32,7 +32,8 @@ from zebraperc.montecarlo import (
     zebra_ray,
 )
 from zebraperc.params import SolverConfig
-from zebraperc.rng import ROOT_KEY, TrialStream, child_key, mix64
+from zebraperc.rng import ROOT_KEY, TrialStream, child_key, mix64, vertex_key
+from zebraperc.tree import edges
 
 MASK = 2**64 - 1
 
@@ -161,6 +162,18 @@ class TestLanes:
                       for key, s in zip(keys, streams) for i in range(params.k)]
         assert list(lane_keys(lanes)) == want_keys
         assert list(lane_flags(lanes)) == want_flags
+
+    @pytest.mark.parametrize("params,depth", [
+        (TreeParams(2), 4), (TreeParams(3), 3), (TreeParams(2, RootMode.FULL_CAYLEY), 5),
+    ])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_sampled_codes_match_the_scalar_stream(self, params, depth, p):
+        """Bit j of a code is edge j of tree.edges, drawn by TrialStream.is_open."""
+        streams = [TrialStream(4, t) for t in range(40)]
+        codes = montecarlo.sample_codes(params, depth, p, [s.base for s in streams])
+        edge_keys = [vertex_key(e) for e in edges(params, depth)]
+        for stream, code in zip(streams, codes):
+            assert code == sum(stream.is_open(key, p) << j for j, key in enumerate(edge_keys))
 
 
 def _cases():

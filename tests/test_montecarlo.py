@@ -11,6 +11,7 @@ from zebraperc.montecarlo import (
     NoBracketError,
     Side,
     brute_force_probability,
+    chunk_bases,
     count_zebra_connected,
     estimate_count,
     estimate_probability,
@@ -21,6 +22,7 @@ from zebraperc.montecarlo import (
     sample_open_ray,
     sample_sigma,
     sample_zebra_ray,
+    transform_equivalence,
     transform_equivalence_trial,
     wilson_interval,
     zebra_count,
@@ -29,6 +31,8 @@ from zebraperc.montecarlo import (
 from zebraperc.params import SolverConfig
 from zebraperc.rng import TrialStream
 from zebraperc.tree import (
+    EdgeState,
+    TooLargeError,
     edge_count,
     enumerate_configs,
     open_ray_witness,
@@ -141,10 +145,11 @@ class TestEstimators:
 
 
 def witness_sum(params, p, event, exact):
-    """The oracle's sum the long way: explicit configurations and witness searches.
+    """The oracle's sum the long way: explicit configurations, each path judged in the test.
 
-    Terms are added in enumeration order with powers built by repeated
-    multiplication, so a float result must equal the oracle's bit for bit.
+    Each last-level address's root path is read from sigma.states. Terms are
+    added in enumeration order with powers built by repeated multiplication,
+    so a float result must equal the oracle's bit for bit.
     """
     pf, one = (Fraction(p), Fraction(1)) if exact else (p, 1.0)
     n_edges = edge_count(params, event.depth)
@@ -152,14 +157,17 @@ def witness_sum(params, p, event, exact):
     for _ in range(n_edges):
         p_pow.append(p_pow[-1] * pf)
         q_pow.append(q_pow[-1] * (one - pf))
+
+    def follows(states):
+        if event.kind is EventKind.OPEN_RAY:
+            return all(s is EdgeState.OPEN for s in states)
+        return all(a is not b for a, b in zip(states, states[1:]))
+
     total = one - one
     for sigma in enumerate_configs(params, event.depth):
-        if event.kind is EventKind.OPEN_RAY:
-            mult = int(open_ray_witness(params, sigma, event.depth) is not None)
-        elif event.kind is EventKind.ZEBRA_RAY:
-            mult = int(zebra_ray_witness(params, sigma, event.depth) is not None)
-        else:
-            mult = zebra_connected_count(params, sigma, event.depth)
+        ends = [v for v in sigma.states if len(v) == event.depth]
+        hits = sum(follows([sigma.states[v[:i]] for i in range(1, event.depth + 1)]) for v in ends)
+        mult = hits if event.kind is EventKind.ZEBRA_COUNT else int(hits > 0)
         if mult:
             opens = sum(sigma.states.values())
             total += mult * p_pow[opens] * q_pow[n_edges - opens]
@@ -187,6 +195,16 @@ class TestBruteForce:
         value = brute_force_probability(P2, p, event, exact=exact)
         assert type(value) is (Fraction if exact else float)
         assert value == witness_sum(P2, p, event, exact)
+
+    def test_cap_is_checked_before_any_edge_is_listed(self, monkeypatch):
+        from zebraperc import tree
+
+        def refuse(*args):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(tree, "edges", refuse)
+        with pytest.raises(TooLargeError):
+            brute_force_probability(P3, 0.5, zebra_ray(3))  # 39 edges
 
     def test_exact_reference_value(self):
         assert brute_force_probability(P2, 0.5, zebra_ray(2), exact=True) == Fraction(15, 16)
@@ -226,6 +244,11 @@ class TestTransformEquivalence:
             for t in range(300)
         )
 
+    @pytest.mark.parametrize("params,m", [(P2, 2), (P3, 2), (TreeParams(2, RootMode.FULL_CAYLEY), 2)])
+    def test_batched_check_holds(self, params, m):
+        assert all(transform_equivalence(params, 0.5, m, bases)
+                   for bases in chunk_bases(2, 0, 3000))
+
     def test_biased_probabilities_hold(self):
         for p in (0.1, 0.9):
             assert all(
@@ -246,6 +269,12 @@ class TestCriticalFinders:
             assert find_critical_dp(params, Side.UPPER, cfg) == pytest.approx(
                 pair.p_high, abs=0.01
             )
+
+    def test_dp_stops_at_float_resolution(self):
+        # a tolerance below the spacing of floats near the threshold ends the search
+        pair = zebra_critical_pair(P3)
+        located = find_critical_dp(P3, Side.LOWER, SolverConfig(tol=1e-300))
+        assert located == pytest.approx(pair.p_low, abs=1e-6)
 
     def test_dp_no_bracket_for_k2(self):
         for side in Side:

@@ -14,7 +14,6 @@ from zebraperc.tree import (
     TooLargeError,
     base_to_hat,
     children,
-    correspondence_holds,
     degree,
     dump_phi,
     dump_sigma,
@@ -22,9 +21,8 @@ from zebraperc.tree import (
     edges,
     enumerate_configs,
     format_address,
-    hat_children,
     hat_edge_decompose,
-    hat_root_degree,
+    hat_shape,
     hat_to_base,
     level_size,
     load_sigma,
@@ -33,6 +31,7 @@ from zebraperc.tree import (
     parse_address,
     phi_of_sigma,
     signed_path_witness,
+    transform_check,
     vertices_at_level,
     zebra_connected_count,
     zebra_ray_witness,
@@ -107,9 +106,7 @@ class TestHatAddressing:
     def test_round_trip(self, params, m):
         import itertools
 
-        from zebraperc.tree import hat_vertices_at_level
-
-        for hv in itertools.islice(hat_vertices_at_level(params, m), 200):
+        for hv in itertools.islice(vertices_at_level(hat_shape(params), m), 200):
             base = hat_to_base(params, hv)
             assert len(base) == 2 * len(hv)
             assert base_to_hat(params, base) == hv
@@ -119,10 +116,10 @@ class TestHatAddressing:
             base_to_hat(TreeParams(2), (0, 1, 0))
 
     def test_hat_root_degree(self):
-        assert hat_root_degree(TreeParams(2)) == 4
-        assert hat_root_degree(TreeParams(2, RootMode.FULL_CAYLEY)) == 6
+        assert hat_shape(TreeParams(2)).root_degree == 4
+        assert hat_shape(TreeParams(2, RootMode.FULL_CAYLEY)).root_degree == 6
         # interior branching order is k^2
-        assert len(hat_children(TreeParams(3), (0,))) == 9
+        assert len(children(hat_shape(TreeParams(3)), (0,))) == 9
 
     def test_decompose_examples(self):
         params = TreeParams(2)
@@ -178,7 +175,7 @@ class TestPhi:
         for mode in RootMode:
             params = TreeParams(2, mode)
             phi = phi_of_sigma(params, _uniform_sigma(params, 4, EdgeState.OPEN))
-            d_hat = hat_root_degree(params)
+            d_hat = hat_shape(params).root_degree
             assert len(phi.values) == d_hat + d_hat * 4
 
     @given(st.integers(0, 500))
@@ -200,7 +197,8 @@ class TestWitnesses:
         assert witness == [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
         phi = phi_of_sigma(params, sigma)
         assert signed_path_witness(params, phi, 2, PhiValue.MINUS) == [(0,), (0, 0)]
-        assert correspondence_holds(params, sigma)
+        code = sum(1 << j for j, e in enumerate(edges(params, 4)) if sigma.states[e])
+        assert transform_check(params, 2)(code)
 
     def test_open_ray_and_count(self):
         params = TreeParams(2)
@@ -217,11 +215,10 @@ class TestWitnesses:
         assert zebra_ray_witness(params, sigma, 2, first=EdgeState.OPEN) is None
 
     def test_exhaustive_correspondence_depth2(self):
-        params = TreeParams(2)
-        assert all(
-            correspondence_holds(params, sigma)
-            for sigma in enumerate_configs(params, 2)
-        )
+        # 64, 4,096 and 512 configurations
+        for params in (TreeParams(2), TreeParams(3), TreeParams(2, RootMode.FULL_CAYLEY)):
+            holds = transform_check(params, 1)
+            assert all(map(holds, range(1 << edge_count(params, 2))))
 
     @pytest.mark.parametrize("params,depth,configs", [
         (TreeParams(2), 2, None),
