@@ -23,10 +23,8 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "Estimate", "EventKind", "EventSpec", "NoBracketError", "Side",
-        "brute_force_probability", "count_zebra_connected", "estimate_count",
-        "estimate_probability", "find_critical_dp", "find_critical_mc", "open_ray",
-        "sample_open_ray", "sample_sigma", "sample_zebra_ray", "transform_equivalence_trial",
-        "wilson_interval", "zebra_count", "zebra_ray",
+        "brute_force_probability", "estimate_event", "find_critical_dp", "find_critical_mc",
+        "open_ray", "sample_sigma", "wilson_interval", "zebra_count", "zebra_ray",
     ),
     "params": ("FIXED_POINT_CONFIG", "LIMIT_CONFIG", "RootMode", "SolverConfig", "TreeParams"),
     "rng": ("TrialStream", "derive_seed"),

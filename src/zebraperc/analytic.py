@@ -320,12 +320,16 @@ def zebra_via_relation(
 
 
 def expected_zebra_count(params: TreeParams, p: float, n: int) -> float:
-    """First moment of the number of depth-n vertices zebra-connected to the root."""
+    """First moment of the number of depth-n vertices zebra-connected to the root.
+
+    level_size * path_probability as root_degree * (k^2 p (1-p))^(n//2), times 2/k for even n:
+    k^(n-1) and (p(1-p))^(n/2) alone leave the float range long before their product.
+    """
+    check_probability(p)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    from .tree import level_size
-
-    return level_size(params, n) * path_probability(p, n)
+    value = params.root_degree * (params.k * params.k * p * (1.0 - p)) ** (n // 2)
+    return value if n % 2 else value * 2.0 / params.k
 
 
 def open_ray_probability(params: TreeParams, p: float, n: int) -> float:

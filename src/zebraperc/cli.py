@@ -23,10 +23,10 @@ from functools import partial
 from . import analytic
 from .analytic import NonConvergenceError, UnsupportedOrderError
 from .params import (
-    BISECTION_CONFIG,
+    BISECTION_TOL,
     FIXED_POINT_CONFIG,
     LIMIT_CONFIG,
-    MC_BISECTION_CONFIG,
+    MC_BISECTION_TOL,
     NoBracketError,
     RootMode,
     SolverConfig,
@@ -174,13 +174,19 @@ def _check_int(rc: dict, name: str, minimum: int) -> int:
     return value
 
 
-def _solver_cfg(rc: dict, default: SolverConfig) -> SolverConfig:
-    """--tol and, where the command has it, --max-iter over the solve's defaults."""
-    tol, max_iter = rc["tol"], rc.get("max_iter")
+def _tol(rc: dict, default: float) -> float:
+    """--tol over the solve's default."""
+    tol = rc["tol"]
     if tol is None:
-        tol = default.tol
-    elif not (_is_int(tol) or isinstance(tol, float)) or not 0.0 < tol < math.inf:
+        return default
+    if not (_is_int(tol) or isinstance(tol, float)) or not 0.0 < tol < math.inf:
         raise ConfigError(f"--tol: a positive finite number required, got {tol}")
+    return tol
+
+
+def _solver_cfg(rc: dict, default: SolverConfig) -> SolverConfig:
+    """--tol and --max-iter over the solve's defaults."""
+    tol, max_iter = _tol(rc, default.tol), rc["max_iter"]
     if max_iter is None:
         max_iter = default.max_iter
     elif not _is_int(max_iter) or max_iter < 1:
@@ -249,11 +255,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
         if method == "mc":
             trials = _check_int(rc, "trials", 1)
             seed = _check_int(rc, "seed", 0)
-            workers = _workers_from_env()
-            if event.kind is montecarlo.EventKind.ZEBRA_COUNT:
-                est = montecarlo.estimate_count(params, p, event, trials, seed, workers)
-            else:
-                est = montecarlo.estimate_probability(params, p, event, trials, seed, workers)
+            est = montecarlo.estimate_event(params, p, event, trials, seed, _workers_from_env())
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
         value = float(montecarlo.brute_force_probability(params, p, event, exact=rc["exact"]))
@@ -353,10 +355,9 @@ def _critical_rows(params: TreeParams, rc: dict):
     from . import montecarlo
 
     if mode == "zebra-dp":
-        locate = partial(montecarlo.find_critical_dp, params, cfg=_solver_cfg(rc, BISECTION_CONFIG))
+        locate = partial(montecarlo.find_critical_dp, params, tol=_tol(rc, BISECTION_TOL))
     else:
-        locate = partial(montecarlo.find_critical_mc, params,
-                         cfg=_solver_cfg(rc, MC_BISECTION_CONFIG),
+        locate = partial(montecarlo.find_critical_mc, params, tol=_tol(rc, MC_BISECTION_TOL),
                          depth=_check_int(rc, "depth", 1), trials=_check_int(rc, "trials", 1),
                          seed=_check_int(rc, "seed", 0), workers=_workers_from_env())
     pair = analytic.zebra_critical_pair(params)

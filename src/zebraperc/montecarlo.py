@@ -4,9 +4,11 @@ Every outcome is a pure function of (seed, trial index, bond address). Trials
 run in batches through the packed-lane kernel (kernel.py), which draws the
 bonds of many trials per big-integer step: existence events by a lockstep
 depth-first search that stops each trial at its first witness, the counting
-event by a walk over the whole zebra cone. Estimates are folds over per-trial
-outcomes with integer merges, so they are identical for any worker count,
-any batch size and any execution order.
+event by a walk over the whole zebra cone. estimate_event folds the outcomes
+of every event with integer merges, so estimates are identical for any worker
+count, any batch size and any execution order. The work of a search grows
+about linearly in depth, but the zebra cone grows geometrically between p_c1
+and p_c2, so a counting estimate must fit a budget of expected lanes.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ import enum
 import itertools
 import math
 import os
-import sys
 from collections import namedtuple
 
 from . import tree
 from .analytic import zebra_limit
 from .params import (
-    BISECTION_CONFIG,
-    MC_BISECTION_CONFIG,
+    BISECTION_TOL,
+    MC_BISECTION_TOL,
     NoBracketError,
-    SolverConfig,
     TooLargeError,
     TreeParams,
     check_probability,
@@ -35,9 +35,9 @@ from .rng import TrialStream, derive_seed, vertex_key
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 #: Normal quantile for two-sided 95% intervals.
 Z95 = 1.959963984540054
-
-#: The samplers refuse depths above the recursion limit less this margin.
-SAMPLER_STACK_MARGIN = 200
+#: Expected lanes one counting estimate may expand: eight to nine minutes at the
+#: walk's 1.9 M lanes/s (one core of a 2-core machine, k = 3, p = 1/2, depths 16-24).
+MAX_COUNT_LANES = 10**9
 
 
 class EventKind(enum.Enum):
@@ -100,63 +100,13 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# single-trial samplers
-
-def _check_sampler_depth(n: int) -> None:
-    """Refuse Monte-Carlo depths past the samplers' level limit, before any bond is drawn."""
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    limit = sys.getrecursionlimit() - SAMPLER_STACK_MARGIN
-    if n > limit:
-        raise TooLargeError(
-            f"depth {n} exceeds the Monte-Carlo samplers' limit of {limit} levels "
-            f"(the recursion limit {sys.getrecursionlimit()} less {SAMPLER_STACK_MARGIN})"
-        )
-
-
-def _one_trial_hit(params: TreeParams, p: float, n: int, stream: TrialStream,
-                   alternate: bool) -> bool:
-    check_probability(p)
-    _check_sampler_depth(n)
-    from . import kernel
-
-    return bool(kernel.ray_hits(params, p, n, [stream.base], alternate))
-
-
-def sample_open_ray(params: TreeParams, p: float, n: int, stream: TrialStream) -> bool:
-    """One Bernoulli sample of 'a descending all-open path of length n exists'.
-
-    The search stops at the first witness ray.
-    """
-    return _one_trial_hit(params, p, n, stream, False)
-
-
-def sample_zebra_ray(params: TreeParams, p: float, n: int, stream: TrialStream) -> bool:
-    """One Bernoulli sample of 'a descending alternating path of length n exists'.
-
-    The first edge may take either state; below the root each edge must take
-    the opposite of its predecessor's sampled state.
-    """
-    return _one_trial_hit(params, p, n, stream, True)
-
-
-def count_zebra_connected(params: TreeParams, p: float, n: int, stream: TrialStream) -> int:
-    """Exhaustive sample of X_n: depth-n vertices joined to the root by a zebra path.
-
-    Traverses the whole zebra-reachable cone (no early stop).
-    """
-    check_probability(p)
-    _check_sampler_depth(n)
-    from . import kernel
-
-    return kernel.zebra_counts(params, p, n, [stream.base])[stream.base]
-
+# configurations
 
 def sample_codes(params: TreeParams, depth: int, p: float, bases: list[int]) -> list[int]:
     """Configuration codes of the depth-truncation, one per trial base word, in one kernel step.
 
     Bit j is the state, 1 open, of edge j of tree.edges(params, depth), drawn
-    from its address key by the rng contract, as the samplers draw it.
+    from its address key by the rng contract, as the kernel's walks draw it.
     """
     from . import kernel
 
@@ -188,25 +138,39 @@ def chunk_bases(seed: int, start: int, stop: int):
         yield [TrialStream(seed, t).base for t in range(first, last)]
 
 
-def _bernoulli_chunk(args) -> int:
-    params, p, event, seed, start, stop = args
-    from . import kernel
-
-    alternate = event.kind is EventKind.ZEBRA_RAY
-    return sum(len(kernel.ray_hits(params, p, event.depth, bases, alternate))
-               for bases in chunk_bases(seed, start, stop))
-
-
-def _count_chunk(args) -> tuple[int, int]:
+def _chunk(args) -> tuple[int, int]:
+    """Sum and sum of squares of the outcomes of trials start .. stop-1: X_n, or hit 1 / miss 0."""
     params, p, event, seed, start, stop = args
     from . import kernel
 
     total = total_sq = 0
     for bases in chunk_bases(seed, start, stop):
-        counts = kernel.zebra_counts(params, p, event.depth, bases).values()
-        total += sum(counts)
-        total_sq += sum(x * x for x in counts)
+        if event.kind is EventKind.ZEBRA_COUNT:
+            counts = kernel.zebra_counts(params, p, event.depth, bases).values()
+            total += sum(counts)
+            total_sq += sum(x * x for x in counts)
+        else:
+            alternate = event.kind is EventKind.ZEBRA_RAY
+            hits = len(kernel.ray_hits(params, p, event.depth, bases, alternate))
+            total += hits
+            total_sq += hits
     return total, total_sq
+
+
+def _expected_lanes(params: TreeParams, p: float, n: int) -> float:
+    """Expected lanes of one counting walk to depth n: root_degree + k * sum_{m<n} E[X_m].
+
+    With r = k^2 p (1-p), E[X_m] is root_degree r^(m//2), times 2/k for even m,
+    so the sum is two geometric series. inf past the float range.
+    """
+    r = params.k * params.k * p * (1.0 - p)
+    odd, even = n // 2, (n - 1) // 2  # levels 1 .. n-1 of each parity
+    try:
+        if r != 1.0:
+            odd, even = (r**odd - 1.0) / (r - 1.0), (r**even - 1.0) / (r - 1.0)
+    except OverflowError:
+        return math.inf
+    return params.root_degree * (1.0 + params.k * odd + 2.0 * r * even)
 
 
 def _resolve_workers(workers: int) -> int:
@@ -236,23 +200,7 @@ def _pool_class():
     return globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
 
 
-def _map_chunks(fn, params, p, event, seed, trials: int, workers: int, executor=None) -> list:
-    _check_sampler_depth(event.depth)
-    workers = min(_resolve_workers(workers), trials)
-    if workers <= 1:
-        return [fn((params, p, event, seed, 0, trials))]
-    step = (trials + workers - 1) // workers
-    jobs = [
-        (params, p, event, seed, start, min(start + step, trials))
-        for start in range(0, trials, step)
-    ]
-    if executor is not None:
-        return list(executor.map(fn, jobs))
-    with _pool_class()(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def estimate_probability(
+def estimate_event(
     params: TreeParams,
     p: float,
     event: EventSpec,
@@ -261,53 +209,46 @@ def estimate_probability(
     workers: int = 1,
     executor=None,
 ) -> Estimate:
-    """Monte-Carlo estimate of an existence event with a Wilson 95% interval.
+    """Hit rate with a Wilson 95% interval, or for the counting event mean X_n with a normal one.
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
     wall time. With more than one worker the chunks run on `executor`, an
     open process pool of at least `workers` processes, or else on a pool
-    started for this call. Counting events go through `estimate_count`.
+    started for this call. A counting estimate that expects more than
+    MAX_COUNT_LANES lanes raises TooLargeError before any bond is drawn.
     """
     check_probability(p)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if event.kind is EventKind.ZEBRA_COUNT:
-        raise ValueError("estimate_probability handles existence events; use estimate_count")
-    hits = sum(_map_chunks(_bernoulli_chunk, params, p, event, seed, trials, workers, executor))
-    mean = hits / trials
-    stderr = math.sqrt(mean * (1.0 - mean) / trials)
-    low, high = wilson_interval(hits, trials)
-    return Estimate(mean=mean, stderr=stderr, ci95_low=low, ci95_high=high,
-                    trials=trials, seed=seed)
-
-
-def estimate_count(
-    params: TreeParams,
-    p: float,
-    event: EventSpec,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> Estimate:
-    """Monte-Carlo mean of the zebra-connected count with a normal 95% interval."""
-    check_probability(p)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if event.kind is not EventKind.ZEBRA_COUNT:
-        raise ValueError("estimate_count handles the counting event only")
-    parts = _map_chunks(_count_chunk, params, p, event, seed, trials, workers)
+    count = event.kind is EventKind.ZEBRA_COUNT
+    lanes = trials * _expected_lanes(params, p, event.depth) if count else 0
+    if lanes > MAX_COUNT_LANES:
+        raise TooLargeError(f"zebra-count to depth {event.depth} at p={p} expects {lanes:.3g} "
+                            f"lanes over {trials} trials, past the budget of {MAX_COUNT_LANES:.3g}")
+    workers = min(_resolve_workers(workers), trials)
+    step = (trials + workers - 1) // workers
+    jobs = [(params, p, event, seed, start, min(start + step, trials))
+            for start in range(0, trials, step)]
+    if workers <= 1:
+        parts = [_chunk(jobs[0])]
+    elif executor is not None:
+        parts = list(executor.map(_chunk, jobs))
+    else:
+        with _pool_class()(max_workers=workers) as pool:
+            parts = list(pool.map(_chunk, jobs))
     total = sum(part[0] for part in parts)
     total_sq = sum(part[1] for part in parts)
     mean = total / trials
-    if trials > 1:
-        var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
+    if not count:
+        stderr = math.sqrt(mean * (1.0 - mean) / trials)
+        low, high = wilson_interval(total, trials)
     else:
-        var = 0.0
-    stderr = math.sqrt(var / trials)
-    half = Z95 * stderr
-    return Estimate(mean=mean, stderr=stderr, ci95_low=mean - half, ci95_high=mean + half,
-                    trials=trials, seed=seed)
+        # sample variance; one trial has a zero numerator
+        var = max(total_sq - total * total / trials, 0.0) / max(trials - 1, 1)
+        stderr = math.sqrt(var / trials)
+        low, high = mean - Z95 * stderr, mean + Z95 * stderr
+    return Estimate(mean, stderr, low, high, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +314,6 @@ def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]
     return all(map(tree.transform_check(params, m), sample_codes(params, 2 * m, p, bases)))
 
 
-def transform_equivalence_trial(
-    params: TreeParams, p: float, m: int, rng: TrialStream
-) -> bool:
-    """transform_equivalence on the one trial of `rng`."""
-    return transform_equivalence(params, p, m, [rng.base])
-
-
 # ---------------------------------------------------------------------------
 # critical-point location
 
@@ -390,7 +324,7 @@ DP_THRESHOLD = 1e-6
 def find_critical_dp(
     params: TreeParams,
     side: Side,
-    cfg: SolverConfig = BISECTION_CONFIG,
+    tol: float = BISECTION_TOL,
     threshold: float = DP_THRESHOLD,
 ) -> float:
     """Locate one zebra-percolation threshold by bisecting the depth limit.
@@ -399,9 +333,7 @@ def find_critical_dp(
     p, however close to a threshold. Raises NoBracket when the indicator does
     not change over the initial bracket (k = 2).
     """
-    return _bisect_indicator(
-        params, side, lambda p: zebra_limit(params, p) > threshold, cfg.tol
-    )
+    return _bisect_indicator(params, side, lambda p: zebra_limit(params, p) > threshold, tol)
 
 
 def mc_indicator_threshold(params: TreeParams, depth: int) -> float:
@@ -420,7 +352,7 @@ def find_critical_mc(
     depth: int,
     trials: int,
     seed: int,
-    cfg: SolverConfig = MC_BISECTION_CONFIG,
+    tol: float = MC_BISECTION_TOL,
     workers: int = 1,
 ) -> float:
     """Monte-Carlo counterpart of find_critical_dp, a finite-depth proxy.
@@ -432,20 +364,19 @@ def find_critical_mc(
     With more than one worker, one process pool serves every probe and is
     shut down when the search returns.
     """
-    _check_sampler_depth(depth)
-    tau = mc_indicator_threshold(params, depth)
     event = zebra_ray(depth)
+    tau = mc_indicator_threshold(params, depth)
     counter = itertools.count()
 
     def bisect(executor) -> float:
         def positive(p: float) -> bool:
-            est = estimate_probability(
+            est = estimate_event(
                 params, p, event, trials, derive_seed(seed, next(counter)),
                 workers=workers, executor=executor,
             )
             return est.mean > tau
 
-        return _bisect_indicator(params, side, positive, cfg.tol)
+        return _bisect_indicator(params, side, positive, tol)
 
     pool_size = min(_resolve_workers(workers), trials)
     if pool_size <= 1:

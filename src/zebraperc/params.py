@@ -63,8 +63,9 @@ class SolverConfig(namedtuple("SolverConfig", "tol max_iter")):
 
 FIXED_POINT_CONFIG = SolverConfig(tol=1e-12, max_iter=10**6)
 LIMIT_CONFIG = SolverConfig(tol=1e-10, max_iter=10**5)
-BISECTION_CONFIG = SolverConfig(tol=1e-4, max_iter=10**4)
-MC_BISECTION_CONFIG = SolverConfig(tol=1 / 256, max_iter=10**4)
+#: Bracket widths at which the threshold bisections stop.
+BISECTION_TOL = 1e-4
+MC_BISECTION_TOL = 1 / 256
 
 
 def check_probability(value: float, name: str = "p") -> float:

@@ -107,7 +107,8 @@ def vertices_at_level(params: TreeParams, n: int) -> Iterator[Address]:
 
 
 def edge_count(params: TreeParams, depth: int) -> int:
-    return sum(level_size(params, n) for n in range(1, depth + 1))
+    """Edges of the depth-truncation, the level sizes summed in closed form."""
+    return params.root_degree * (params.k**depth - 1) // (params.k - 1)
 
 
 def edges(params: TreeParams, depth: int) -> list[Address]:
@@ -412,6 +413,9 @@ def load_sigma(text: str, params: TreeParams) -> SigmaConfig:
     if not states:
         raise ValueError("no edges found")
     depth = max(len(a) for a in states)
+    if len(states) != edge_count(params, depth):  # before the truncation's edges are listed
+        raise ValueError(f"{len(states)} edges, but the depth-{depth} truncation has "
+                         f"{edge_count(params, depth)}")
     expected = set(edges(params, depth))
     if set(states) != expected:
         missing = sorted(expected - set(states))[:3]

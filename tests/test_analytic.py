@@ -346,6 +346,16 @@ class TestCountsAndRays:
         assert expected_zebra_count(TreeParams(3, RootMode.FULL_CAYLEY), 0.5, 1) == 4.0
         assert expected_zebra_count(TreeParams(3), 0.0, 2) == 0.0
 
+    @pytest.mark.parametrize("params", [TreeParams(3), TreeParams(2, RootMode.FULL_CAYLEY)])
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("n", [699, 700])
+    def test_expected_zebra_count_deep(self, params, p, n):
+        # level_size * path_probability in exact arithmetic; k^(n-1) alone passes 1e308
+        pq = Fraction(p) * (1 - Fraction(p))
+        paths = 2 * pq ** (n // 2) if n % 2 == 0 else pq ** (n // 2)
+        exact = params.root_degree * params.k ** (n - 1) * paths
+        assert expected_zebra_count(params, p, n) == pytest.approx(float(exact), rel=1e-12)
+
     def test_open_ray_probability(self):
         assert open_ray_probability(TreeParams(2), 0.5, 1) == 0.75
         assert open_ray_probability(TreeParams(2), 1.0, 7) == 1.0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -129,12 +130,28 @@ class TestExitCodes:
                                       "--depth", "3"])
         assert code == 4
 
-    def test_mc_depth_beyond_the_samplers(self, capsys):
-        code, out, err = run_cli(capsys, ["eval", "--k", "2", "--p", "1.0", "--method", "mc",
-                                          "--event", "open", "--depth", "2000", "--trials", "1"])
+    def test_deep_open_ray_has_no_depth_cap(self, capsys):
+        code, out, _ = run_cli(capsys, ["eval", "--k", "2", "--p", "1.0", "--method", "mc",
+                                        "--event", "open", "--depth", "2000", "--trials", "1"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3:6] == ["2000", "mc-open", "1"]
+
+    @pytest.mark.parametrize("depth", ["40", "2000"])
+    def test_runaway_count_refused_at_once(self, capsys, depth):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["eval", "--k", "3", "--p", "0.5", "--method", "mc",
+                                          "--event", "zebra-count", "--depth", depth])
+        assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
-        assert "depth 2000" in err and "Traceback" not in err
+        assert f"zebra-count to depth {depth}" in err and "budget" in err
+
+    def test_deep_subcritical_count_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["eval", "--k", "3", "--p", "0.1", "--method", "mc",
+                                        "--event", "zebra-count", "--depth", "1000000",
+                                        "--trials", "1"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3:6] == ["1000000", "mc-zebra-count", "0"]
 
     def test_deep_mc_within_the_samplers(self, capsys):
         code, out, _ = run_cli(capsys, ["eval", "--k", "2", "--p", "1.0", "--method", "mc",
@@ -342,6 +359,15 @@ class TestTransformDemo:
         assert code == 0
         assert out == ""
         assert path.read_text() == expected
+
+    def test_fixture_edge_count_checked_before_the_edges_are_listed(self, capsys, tmp_path):
+        # one edge 40 levels down: the depth-40 truncation of the binary tree has 2^41 - 2 edges
+        fixture = tmp_path / "deep.sigma"
+        fixture.write_text("/".join(["0"] * 40) + ",O\n")
+        code, out, err = run_cli(capsys, ["transform-demo", "--k", "2", "--input", str(fixture)])
+        assert code == 2
+        assert out == ""
+        assert "error: --input: 1 edges, but the depth-40 truncation has 2199023255550" in err
 
     def test_too_large(self, capsys):
         code, _, _ = run_cli(capsys, ["transform-demo", "--k", "4", "--depth", "4"])

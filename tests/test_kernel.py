@@ -21,17 +21,15 @@ from zebraperc.kernel import (
     zebra_counts,
 )
 from zebraperc.montecarlo import (
-    count_zebra_connected,
-    estimate_count,
-    estimate_probability,
+    Z95,
+    Estimate,
+    estimate_event,
     find_critical_mc,
     open_ray,
-    sample_open_ray,
-    sample_zebra_ray,
+    wilson_interval,
     zebra_count,
     zebra_ray,
 )
-from zebraperc.params import SolverConfig
 from zebraperc.rng import ROOT_KEY, TrialStream, child_key, mix64, vertex_key
 from zebraperc.tree import edges
 
@@ -200,13 +198,14 @@ class TestAgainstRecursiveSearch:
                 assert counts.get(s.base, 0) == ref_zebra_count(params, p, n, s)
 
     def test_one_trial_samplers(self):
+        # a batch of one base word: no other trial shares the rounds
         for params in (TreeParams(3), TreeParams(2, RootMode.FULL_CAYLEY)):
             for t in range(60):
                 s = TrialStream(21, t)
                 for p in (0.2, 0.5, 0.7):
-                    assert sample_open_ray(params, p, 6, s) is ref_open_ray(params, p, 6, s)
-                    assert sample_zebra_ray(params, p, 6, s) is ref_zebra_ray(params, p, 6, s)
-                    assert count_zebra_connected(params, p, 6, s) == ref_zebra_count(params, p, 6, s)
+                    assert bool(ray_hits(params, p, 6, [s.base], False)) is ref_open_ray(params, p, 6, s)
+                    assert bool(ray_hits(params, p, 6, [s.base], True)) is ref_zebra_ray(params, p, 6, s)
+                    assert zebra_counts(params, p, 6, [s.base])[s.base] == ref_zebra_count(params, p, 6, s)
 
     def test_count_pool_larger_than_a_round(self):
         params, p, n = TreeParams(3), 0.5, 8
@@ -220,23 +219,30 @@ class TestAgainstRecursiveSearch:
 class TestEstimatorBatches:
     TRIALS = TRIAL_BATCH + 3  # neither chunk of two workers is a whole batch either
 
-    def test_existence_is_the_sum_of_per_trial_outcomes(self):
-        params, p, n, seed = TreeParams(2), 0.5, 3, 41
-        a = estimate_probability(params, p, zebra_ray(n), self.TRIALS, seed, workers=1)
-        b = estimate_probability(params, p, zebra_ray(n), self.TRIALS, seed, workers=2)
+    def estimates(self, params, p, event, seed):
+        """The estimates with one and with two workers, which must be equal."""
+        a, b = (estimate_event(params, p, event, self.TRIALS, seed, workers=w) for w in (1, 2))
         assert a == b
-        hits = sum(ref_zebra_ray(params, p, n, TrialStream(seed, t)) for t in range(self.TRIALS))
-        assert a.mean == hits / self.TRIALS
-        c = estimate_probability(params, 0.6, open_ray(n), self.TRIALS, seed, workers=1)
-        assert c == estimate_probability(params, 0.6, open_ray(n), self.TRIALS, seed, workers=2)
+        return a
+
+    def test_existence_is_the_sum_of_per_trial_outcomes(self):
+        params, n, seed = TreeParams(2), 3, 41
+        for event, p, ref in ((zebra_ray(n), 0.5, ref_zebra_ray), (open_ray(n), 0.6, ref_open_ray)):
+            hits = sum(ref(params, p, n, TrialStream(seed, t)) for t in range(self.TRIALS))
+            mean = hits / self.TRIALS
+            want = Estimate(mean, math.sqrt(mean * (1 - mean) / self.TRIALS),
+                            *wilson_interval(hits, self.TRIALS), self.TRIALS, seed)
+            assert 0 < hits < self.TRIALS
+            assert self.estimates(params, p, event, seed) == pytest.approx(want, rel=1e-12)
 
     def test_count_is_the_sum_of_per_trial_outcomes(self):
         params, p, n, seed = TreeParams(2, RootMode.FULL_CAYLEY), 0.5, 3, 43
-        a = estimate_count(params, p, zebra_count(n), self.TRIALS, seed, workers=1)
-        b = estimate_count(params, p, zebra_count(n), self.TRIALS, seed, workers=2)
-        assert a == b
-        total = sum(ref_zebra_count(params, p, n, TrialStream(seed, t)) for t in range(self.TRIALS))
-        assert a.mean == total / self.TRIALS
+        counts = [ref_zebra_count(params, p, n, TrialStream(seed, t)) for t in range(self.TRIALS)]
+        mean = sum(counts) / self.TRIALS
+        stderr = math.sqrt(sum((x - mean) ** 2 for x in counts) / (self.TRIALS - 1) / self.TRIALS)
+        want = Estimate(mean, stderr, mean - Z95 * stderr, mean + Z95 * stderr, self.TRIALS, seed)
+        assert stderr > 0
+        assert self.estimates(params, p, zebra_count(n), seed) == pytest.approx(want, rel=1e-12)
 
 
 class TestOnePoolPerBisection:
@@ -250,9 +256,9 @@ class TestOnePoolPerBisection:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool, raising=False)
-        cfg = SolverConfig(tol=1 / 32, max_iter=100)
+        tol = 1 / 32
         params = TreeParams(3)
-        located = find_critical_mc(params, montecarlo.Side.LOWER, 8, 300, 5, cfg, workers=2)
+        located = find_critical_mc(params, montecarlo.Side.LOWER, 8, 300, 5, tol, workers=2)
         assert starts == [2]
-        assert located == find_critical_mc(params, montecarlo.Side.LOWER, 8, 300, 5, cfg, workers=1)
+        assert located == find_critical_mc(params, montecarlo.Side.LOWER, 8, 300, 5, tol, workers=1)
         assert starts == [2]

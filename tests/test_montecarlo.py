@@ -3,32 +3,33 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zebraperc import RootMode, TreeParams
-from zebraperc.analytic import open_ray_probability, zebra_critical_pair, zebra_dp
+from zebraperc import RootMode, TreeParams, kernel, montecarlo
+from zebraperc.analytic import (
+    expected_zebra_count,
+    open_ray_probability,
+    zebra_critical_pair,
+    zebra_dp,
+)
+from zebraperc.kernel import ray_hits, zebra_counts
 from zebraperc.montecarlo import (
+    Estimate,
     EventKind,
     EventSpec,
     NoBracketError,
     Side,
     brute_force_probability,
     chunk_bases,
-    count_zebra_connected,
-    estimate_count,
-    estimate_probability,
+    estimate_event,
     find_critical_dp,
     find_critical_mc,
     mc_indicator_threshold,
     open_ray,
-    sample_open_ray,
     sample_sigma,
-    sample_zebra_ray,
     transform_equivalence,
-    transform_equivalence_trial,
     wilson_interval,
     zebra_count,
     zebra_ray,
 )
-from zebraperc.params import SolverConfig
 from zebraperc.rng import TrialStream
 from zebraperc.tree import (
     EdgeState,
@@ -44,22 +45,35 @@ P2 = TreeParams(2)
 P3 = TreeParams(3)
 
 
+def open_hit(params, p, n, stream):
+    """The kernel's open-ray outcome for the one trial of `stream`."""
+    return bool(ray_hits(params, p, n, [stream.base], alternate=False))
+
+
+def zebra_hit(params, p, n, stream):
+    return bool(ray_hits(params, p, n, [stream.base], alternate=True))
+
+
+def zebra_number(params, p, n, stream):
+    return zebra_counts(params, p, n, [stream.base])[stream.base]
+
+
 class TestSamplers:
     def test_open_ray_degenerate(self):
         for n in (1, 3, 8):
-            assert sample_open_ray(P2, 1.0, n, TrialStream(0, 0)) is True
-            assert sample_open_ray(P2, 0.0, n, TrialStream(0, 0)) is False
+            assert open_hit(P2, 1.0, n, TrialStream(0, 0)) is True
+            assert open_hit(P2, 0.0, n, TrialStream(0, 0)) is False
 
     def test_zebra_ray_degenerate(self):
         for trial in range(50):
-            assert sample_zebra_ray(P3, 0.37, 1, TrialStream(1, trial)) is True
-            assert sample_zebra_ray(P3, 1.0, 2, TrialStream(1, trial)) is False
-            assert sample_zebra_ray(P3, 0.0, 2, TrialStream(1, trial)) is False
+            assert zebra_hit(P3, 0.37, 1, TrialStream(1, trial)) is True
+            assert zebra_hit(P3, 1.0, 2, TrialStream(1, trial)) is False
+            assert zebra_hit(P3, 0.0, 2, TrialStream(1, trial)) is False
 
     def test_count_degenerate(self):
         for trial in range(50):
-            assert count_zebra_connected(P2, 1.0, 2, TrialStream(2, trial)) == 0
-            assert count_zebra_connected(P2, 0.5, 1, TrialStream(2, trial)) == 2
+            assert zebra_number(P2, 1.0, 2, TrialStream(2, trial)) == 0
+            assert zebra_number(P2, 0.5, 1, TrialStream(2, trial)) == 2
 
     @given(st.integers(0, 10**5))
     @settings(max_examples=150)
@@ -67,13 +81,13 @@ class TestSamplers:
         p = 0.35
         for params in (P3, TreeParams(2, RootMode.FULL_CAYLEY)):
             sigma = sample_sigma(params, 4, p, TrialStream(5, trial))
-            assert sample_zebra_ray(params, p, 4, TrialStream(5, trial)) == (
+            assert zebra_hit(params, p, 4, TrialStream(5, trial)) == (
                 zebra_ray_witness(params, sigma, 4) is not None
             )
-            assert sample_open_ray(params, p, 4, TrialStream(5, trial)) == (
+            assert open_hit(params, p, 4, TrialStream(5, trial)) == (
                 open_ray_witness(params, sigma, 4) is not None
             )
-            assert count_zebra_connected(params, p, 4, TrialStream(5, trial)) == (
+            assert zebra_number(params, p, 4, TrialStream(5, trial)) == (
                 zebra_connected_count(params, sigma, 4)
             )
 
@@ -94,51 +108,50 @@ class TestWilson:
 
 class TestEstimators:
     def test_single_trial(self):
-        est = estimate_probability(P2, 0.5, zebra_ray(2), 1, 0)
+        est = estimate_event(P2, 0.5, zebra_ray(2), 1, 0)
         assert est.mean in (0.0, 1.0)
         assert 0.0 <= est.ci95_low <= est.mean <= est.ci95_high <= 1.0
 
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(params=P3, p=0.4, event=zebra_ray(6), trials=2000, seed=31)
-        a = estimate_probability(**kwargs, workers=1)
-        b = estimate_probability(**kwargs, workers=1)
-        c = estimate_probability(**kwargs, workers=2)
+        a = estimate_event(**kwargs, workers=1)
+        b = estimate_event(**kwargs, workers=1)
+        c = estimate_event(**kwargs, workers=2)
         assert a == b == c
 
     def test_open_ray_level_one(self):
-        est = estimate_probability(P2, 0.5, open_ray(1), 20000, 17)
+        est = estimate_event(P2, 0.5, open_ray(1), 20000, 17)
         assert abs(est.mean - 0.75) <= 3 * est.stderr
 
     def test_zebra_ray_matches_recursion(self):
         exact = zebra_dp(P3, 0.5, 6)[6].z
-        est = estimate_probability(P3, 0.5, zebra_ray(6), 20000, 23)
+        est = estimate_event(P3, 0.5, zebra_ray(6), 20000, 23)
         assert abs(est.mean - exact) <= 3 * max(est.stderr, 1e-9)
 
     def test_open_ray_matches_recursion(self):
         exact = open_ray_probability(P3, 0.6, 6)
-        est = estimate_probability(P3, 0.6, open_ray(6), 20000, 29)
+        est = estimate_event(P3, 0.6, open_ray(6), 20000, 29)
         assert abs(est.mean - exact) <= 3 * est.stderr
 
     def test_count_mean_matches_first_moment(self):
-        from zebraperc.analytic import expected_zebra_count
-
         expected = expected_zebra_count(P2, 0.3, 3)
-        est = estimate_count(P2, 0.3, zebra_count(3), 10000, 37, workers=2)
+        est = estimate_event(P2, 0.3, zebra_count(3), 10000, 37, workers=2)
         assert abs(est.mean - expected) <= 3 * est.stderr
-        assert est == estimate_count(P2, 0.3, zebra_count(3), 10000, 37)
+        assert est == estimate_event(P2, 0.3, zebra_count(3), 10000, 37)
 
     def test_kind_routing(self):
-        with pytest.raises(ValueError):
-            estimate_probability(P2, 0.5, zebra_count(2), 10, 0)
-        with pytest.raises(ValueError):
-            estimate_count(P2, 0.5, zebra_ray(2), 10, 0)
+        # X_1 is the root degree in every trial: a normal interval of width 0,
+        # where a Wilson interval would be clipped to [0, 1]
+        assert estimate_event(P2, 0.5, zebra_count(1), 10, 0) == Estimate(2.0, 0.0, 2.0, 2.0, 10, 0)
+        est = estimate_event(P2, 0.5, zebra_ray(3), 10, 0)
+        assert (est.ci95_low, est.ci95_high) == wilson_interval(round(est.mean * 10), 10)
 
     def test_three_sigma_coverage_over_seeds(self):
         # statistical, not absolute: ~99.7% of seeds should cover the exact value
         exact = 15 / 16
         covered = 0
         for seed in range(30):
-            est = estimate_probability(P2, 0.5, zebra_ray(2), 1000, seed)
+            est = estimate_event(P2, 0.5, zebra_ray(2), 1000, seed)
             if abs(est.mean - exact) <= 3 * max(est.stderr, 1e-9):
                 covered += 1
         assert covered >= 28
@@ -225,8 +238,6 @@ class TestBruteForce:
         assert open_exact == pytest.approx(open_ray_probability(P2, p, depth), abs=1e-12)
 
     def test_count_expectation(self):
-        from zebraperc.analytic import expected_zebra_count
-
         value = brute_force_probability(P2, 0.3, zebra_count(2))
         assert value == pytest.approx(expected_zebra_count(P2, 0.3, 2), abs=1e-12)
 
@@ -239,10 +250,8 @@ class TestBruteForce:
 class TestTransformEquivalence:
     @pytest.mark.parametrize("params,m", [(P2, 2), (P2, 3), (P3, 2)])
     def test_sampled_trials_hold(self, params, m):
-        assert all(
-            transform_equivalence_trial(params, 0.5, m, TrialStream(0, t))
-            for t in range(300)
-        )
+        assert all(transform_equivalence(params, 0.5, m, [TrialStream(0, t).base])
+                   for t in range(300))
 
     @pytest.mark.parametrize("params,m", [(P2, 2), (P3, 2), (TreeParams(2, RootMode.FULL_CAYLEY), 2)])
     def test_batched_check_holds(self, params, m):
@@ -251,10 +260,8 @@ class TestTransformEquivalence:
 
     def test_biased_probabilities_hold(self):
         for p in (0.1, 0.9):
-            assert all(
-                transform_equivalence_trial(P2, p, 2, TrialStream(1, t))
-                for t in range(200)
-            )
+            assert all(transform_equivalence(P2, p, 2, [TrialStream(1, t).base])
+                       for t in range(200))
 
 
 class TestCriticalFinders:
@@ -262,18 +269,17 @@ class TestCriticalFinders:
         for k in (3, 4):
             params = TreeParams(k)
             pair = zebra_critical_pair(params)
-            cfg = SolverConfig(tol=1e-3, max_iter=10**4)
-            assert find_critical_dp(params, Side.LOWER, cfg) == pytest.approx(
+            assert find_critical_dp(params, Side.LOWER, 1e-3) == pytest.approx(
                 pair.p_low, abs=0.01
             )
-            assert find_critical_dp(params, Side.UPPER, cfg) == pytest.approx(
+            assert find_critical_dp(params, Side.UPPER, 1e-3) == pytest.approx(
                 pair.p_high, abs=0.01
             )
 
     def test_dp_stops_at_float_resolution(self):
         # a tolerance below the spacing of floats near the threshold ends the search
         pair = zebra_critical_pair(P3)
-        located = find_critical_dp(P3, Side.LOWER, SolverConfig(tol=1e-300))
+        located = find_critical_dp(P3, Side.LOWER, 1e-300)
         assert located == pytest.approx(pair.p_low, abs=1e-6)
 
     def test_dp_no_bracket_for_k2(self):
@@ -301,3 +307,38 @@ class TestEventSpec:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             EventSpec(EventKind.ZEBRA_RAY, 0)
+
+
+class TestCountBudget:
+    @pytest.mark.parametrize("params", [P2, P3, TreeParams(3, RootMode.FULL_CAYLEY)])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 1 / 3, 0.5, 0.8, 1.0])
+    def test_expected_lanes_sum_the_first_moments(self, params, p):
+        # P2 at p = 1/2 has k^2 p (1-p) = 1 exactly, the series' special case
+        for n in range(1, 16):
+            lanes = params.root_degree + params.k * sum(
+                expected_zebra_count(params, p, m) for m in range(1, n))
+            assert montecarlo._expected_lanes(params, p, n) == pytest.approx(lanes, rel=1e-12)
+
+    def test_runaway_cone_is_infinite(self):
+        assert montecarlo._expected_lanes(P3, 0.5, 2000) == float("inf")
+
+    @pytest.mark.parametrize("depth,trials", [(40, 100000), (40, 10), (2000, 1)])
+    def test_refused_before_any_bond(self, monkeypatch, depth, trials):
+        def refuse(*args):
+            raise AssertionError("a bond was drawn")
+
+        monkeypatch.setattr(kernel, "zebra_counts", refuse)
+        with pytest.raises(TooLargeError, match=f"depth {depth}"):
+            estimate_event(P3, 0.5, zebra_count(depth), trials, 0)
+
+    def test_estimates_within_the_budget_run(self, monkeypatch):
+        lanes = 1000 * montecarlo._expected_lanes(P3, 0.5, 8)
+        monkeypatch.setattr(montecarlo, "MAX_COUNT_LANES", lanes)
+        assert estimate_event(P3, 0.5, zebra_count(8), 1000, 0).trials == 1000
+        with pytest.raises(TooLargeError):
+            estimate_event(P3, 0.5, zebra_count(8), 1001, 0)
+
+    def test_existence_events_have_no_budget(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_COUNT_LANES", 0)
+        assert estimate_event(P2, 1.0, open_ray(2000), 1, 0).mean == 1.0
+        assert estimate_event(P3, 0.5, zebra_ray(40), 10, 0).trials == 10

@@ -76,6 +76,10 @@ class TestAddressing:
         assert edge_list == sorted(edge_list)
         assert edge_list[0] == (0,)
 
+    @given(params_strategy, st.integers(0, 60))
+    def test_edge_count_sums_the_levels(self, params, depth):
+        assert edge_count(params, depth) == sum(level_size(params, n) for n in range(1, depth + 1))
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -288,6 +292,17 @@ class TestSerialization:
     def test_load_rejects_incomplete_domain(self):
         with pytest.raises(ValueError):
             load_sigma("0,O\n", TreeParams(2))  # missing edge 1
+
+    def test_load_counts_edges_before_listing_them(self, monkeypatch):
+        from zebraperc import tree
+
+        def refuse(*args):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(tree, "edges", refuse)
+        deep = "/".join(["0"] * 40) + ",O\n"  # 2^41 - 2 edges in its truncation
+        with pytest.raises(ValueError, match="1 edges, but the depth-40 truncation has 2199023255550"):
+            load_sigma(deep, TreeParams(2))
 
     def test_load_rejects_bad_lines(self):
         with pytest.raises(ValueError):
