@@ -324,12 +324,16 @@ def expected_zebra_count(params: TreeParams, p: float, n: int) -> float:
 
     level_size * path_probability as root_degree * (k^2 p (1-p))^(n//2), times 2/k for even n:
     k^(n-1) and (p(1-p))^(n/2) alone leave the float range long before their product.
+    inf past the float range.
     """
     check_probability(p)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    value = params.root_degree * (params.k * params.k * p * (1.0 - p)) ** (n // 2)
-    return value if n % 2 else value * 2.0 / params.k
+    try:
+        value = params.root_degree * (params.k * params.k * p * (1.0 - p)) ** (n // 2)
+    except OverflowError:
+        return math.inf
+    return value if n % 2 else value / params.k * 2.0  # over k first: a finite result stays finite
 
 
 def open_ray_probability(params: TreeParams, p: float, n: int) -> float:

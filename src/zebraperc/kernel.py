@@ -17,6 +17,7 @@ expanded.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -272,6 +273,12 @@ def zebra_counts(params: TreeParams, p: float, n: int, bases: Sequence[int]) -> 
     return counts
 
 
+@functools.lru_cache(maxsize=1)
+def _flag_rounds(p: float, lanes: int) -> Rounds:
+    """The mask and guard of edge_flags, kept for the next batch of as many lanes at the same p."""
+    return Rounds(p, lanes, ())
+
+
 def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytes:
     """Open flags of a fixed list of edges in every trial of a batch, in one step.
 
@@ -280,7 +287,7 @@ def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytes:
     bit of Rounds.expand: edge j is open in the trial with base word bases[t].
     """
     n = len(keys) * len(bases)
-    rounds = Rounds(p, n, ())
+    rounds = _flag_rounds(p, n)
     trial_words = b"".join(_lane_bytes(base) * len(keys) for base in bases)
     word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), rounds.mask)
     diff = rounds.guard - word

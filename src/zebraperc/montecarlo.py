@@ -14,8 +14,10 @@ and p_c2, so a counting estimate must fit a budget of expected lanes.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import operator
 import os
 from collections import namedtuple
 
@@ -254,6 +256,90 @@ def estimate_event(
 # ---------------------------------------------------------------------------
 # exhaustive-enumeration oracle
 
+#: Codes judged per truth-table pass: the low ORACLE_BLOCK_BITS edges take every
+#: state inside a block of 2**ORACLE_BLOCK_BITS codes, the higher edges one.
+ORACLE_BLOCK_BITS = 16
+#: Each byte plus one.
+_INC = bytes(range(1, 256)) + b"\x00"
+#: The binary digits "0" and "1" as bytes 0 and 1.
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.lru_cache(maxsize=None)
+def _block_tables(bits: int) -> tuple[tuple[int, ...], bytes]:
+    """Truth tables of the low `bits` edges over a block of 2**bits codes, and the codes' popcounts.
+
+    Bit c of table j is bit j of c; each table repeats one byte pattern. Byte c
+    of the popcounts is c.bit_count(), built by doubling: codes 2**j ..
+    2**(j+1)-1 have one bit more than codes 0 .. 2**j-1. Neither depends on
+    the tree, the event or p, so one build serves every oracle call.
+    """
+    size = 1 << bits
+    tables = []
+    for j in range(bits):
+        run = 1 << j >> 3  # bytes per run of equal bits; none below j = 3
+        pattern = bytes(run) + b"\xff" * run if run else bytes([(0xAA, 0xCC, 0xF0)[j]])
+        repeats = max(size // 8 // len(pattern), 1)
+        tables.append(int.from_bytes(pattern * repeats, "little") & ((1 << size) - 1))
+    pops = b"\x00"
+    for _ in range(bits):
+        pops += pops.translate(_INC)
+    return tuple(tables), pops
+
+
+@functools.lru_cache(maxsize=None)
+def _popcount_classes(bits: int) -> tuple[int, ...]:
+    """For h = 0 .. bits, the table of the codes of a block of 2**bits codes with h bits set."""
+    pops = _block_tables(bits)[1]
+    return tuple(int(pops.translate(bytes(b == h for b in range(256))).translate(_DIGITS)[::-1], 2)
+                 for h in range(bits + 1))
+
+
+def _multiplicity_planes(params: TreeParams, event: EventSpec, n_edges: int, bits: int):
+    """Each block's multiplicities, every code of the block judged in one pass over the edges.
+
+    Blocks come in code order; block b holds the codes b * 2**bits + c for
+    c < 2**bits. Yields per block the popcount of b and the multiplicity
+    planes: bit c of plane i is bit i of the multiplicity of code c, 1 or 0
+    for a ray event and the number of zebra-connected last-level edges for
+    the counting event. The reach table of an edge has bit c set when its
+    path from the root follows the rule in code c (tree.path_ends):
+    reach & (table ^ parent's table) for a zebra path, reach & table for an
+    open ray.
+    """
+    roots, below = tree.edge_lists(params, event.depth)
+    low = _block_tables(bits)[0]
+    full = (1 << (1 << bits)) - 1
+    alternate = event.kind is not EventKind.OPEN_RAY
+    count = event.kind is EventKind.ZEBRA_COUNT
+    for block in range(1 << (n_edges - bits)):
+        tables = low + tuple(full if block >> i & 1 else 0 for i in range(n_edges - bits))
+        frontier = [(j, full if alternate else tables[j]) for j in roots]
+        while frontier and below[frontier[0][0]]:
+            frontier = [(c, reach & (tables[c] ^ tables[j] if alternate else tables[c]))
+                        for j, reach in frontier if reach for c in below[j]]
+        planes: list[int] = []
+        if count:
+            for _, reach in frontier:  # bit-sliced ripple-carry add of one bit per code
+                for i, plane in enumerate(planes):
+                    planes[i], reach = plane ^ reach, plane & reach
+                if reach:
+                    planes.append(reach)
+        else:
+            planes.append(functools.reduce(operator.or_, (reach for _, reach in frontier), 0))
+        yield block.bit_count(), planes
+
+
+def _per_code(planes: list[int], bits: int) -> bytes:
+    """Byte c is the multiplicity of code c of the block, for multiplicities below 256."""
+    size = 1 << bits
+    per_code = 0
+    for i, plane in enumerate(planes):  # each bit of the plane becomes the byte 0 or 1
+        digits = format(plane, f"0{size}b")[::-1].encode().translate(_FROM_DIGITS)
+        per_code += int.from_bytes(digits, "little") << i
+    return per_code.to_bytes(size, "little")
+
+
 def brute_force_probability(
     params: TreeParams, p: float, event: EventSpec, exact: bool = False
 ):
@@ -265,27 +351,34 @@ def brute_force_probability(
     number of open edges, and each such tally is weighted once by Fraction
     powers of p and 1-p.
 
+    Every configuration is judged by truth tables, an int per edge whose bit
+    `code` is the edge's state in configuration `code`: one big-int step
+    applies the path rule of tree.path_ends to a whole block of codes
+    (_multiplicity_planes). The multiplicities are tallied by popcount class
+    (exact) or read out one byte per code (floats).
+
     Reproducibility contract: configuration `code` runs over 0 .. 2**n - 1 for
     the n edges of the truncation, bit j of `code` (least significant first)
     holding the state, 1 open, of edge j of tree.edges (the order of
     tree.enumerate_configs). In floats its term, multiplicity * p**opens *
     (1-p)**(n-opens) with the powers built by repeated multiplication, is
     added to the sum in increasing order of `code`, so float results are
-    bit-identical from run to run.
+    bit-identical from run to run. A configuration without a path adds the
+    term +0.0, which leaves the sum as it is.
     """
     check_probability(p)
     n_edges = tree.check_enumerable(params, event.depth)
-    roots, below = tree.edge_lists(params, event.depth)
-    alternate = event.kind is not EventKind.OPEN_RAY
-    count = event.kind is EventKind.ZEBRA_COUNT
+    bits = min(n_edges, ORACLE_BLOCK_BITS)
+    blocks = _multiplicity_planes(params, event, n_edges, bits)
     if exact:
         from fractions import Fraction
 
         tally = [0] * (n_edges + 1)
-        for code in range(1 << n_edges):
-            ends = tree.path_ends(roots, below, code, alternate)
-            if ends:
-                tally[code.bit_count()] += len(ends) if count else 1
+        classes = _popcount_classes(bits)
+        for high, planes in blocks:
+            for h, members in enumerate(classes):
+                tally[high + h] += sum((plane & members).bit_count() << i
+                                       for i, plane in enumerate(planes))
         pf = Fraction(p)
         return sum(
             (mult * pf**opens * (1 - pf) ** (n_edges - opens)
@@ -294,13 +387,16 @@ def brute_force_probability(
         )
     p_pow = [1.0] + list(itertools.accumulate([p] * n_edges, lambda acc, v: acc * v))
     q_pow = [1.0] + list(itertools.accumulate([1.0 - p] * n_edges, lambda acc, v: acc * v))
+    most = tree.level_size(params, event.depth) if event.kind is EventKind.ZEBRA_COUNT else 1
+    terms = [[mult * p_pow[opens] * q_pow[n_edges - opens] for opens in range(n_edges + 1)]
+             for mult in range(most + 1)]
+    pops = _block_tables(bits)[1]
     total = 0.0
-    for code in range(1 << n_edges):
-        ends = tree.path_ends(roots, below, code, alternate)
-        if ends:
-            weight_mult = len(ends) if count else 1
-            opens = code.bit_count()
-            total += weight_mult * p_pow[opens] * q_pow[n_edges - opens]
+    for high, planes in blocks:
+        rows = [row[high:high + bits + 1] for row in terms]  # by multiplicity, then low popcount
+        # a left fold in code order: builtin sum may compensate float rounding
+        total = functools.reduce(operator.add, map(
+            operator.getitem, map(rows.__getitem__, _per_code(planes, bits)), pops), total)
     return total
 
 

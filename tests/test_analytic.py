@@ -356,6 +356,21 @@ class TestCountsAndRays:
         exact = params.root_degree * params.k ** (n - 1) * paths
         assert expected_zebra_count(params, p, n) == pytest.approx(float(exact), rel=1e-12)
 
+    @pytest.mark.parametrize("params,p,n", [
+        (TreeParams(3), 0.5, 2000), (TreeParams(3), 0.5, 2001),
+        (TreeParams(4), 0.5, 2000),
+    ])
+    def test_expected_zebra_count_past_the_float_range(self, params, p, n):
+        assert expected_zebra_count(params, p, n) == math.inf
+
+    def test_expected_zebra_count_near_the_float_range(self):
+        # root_degree * (k^2 p (1-p))^(n//2) = 4 * 2.25^873 lies above half the largest
+        # float; times 2/k, even n stays finite
+        value = expected_zebra_count(TreeParams(3, RootMode.FULL_CAYLEY), 0.5, 1746)
+        exact = 4 * Fraction(9, 4) ** 873 * 2 / 3
+        assert 4 * Fraction(9, 4) ** 873 > Fraction(2) ** 1023
+        assert value == pytest.approx(float(exact), rel=1e-12)
+
     def test_open_ray_probability(self):
         assert open_ray_probability(TreeParams(2), 0.5, 1) == 0.75
         assert open_ray_probability(TreeParams(2), 1.0, 7) == 1.0

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import zebraperc
-from zebraperc import TreeParams, cli, zebra_critical_pair
+from zebraperc import TreeParams, cli, verify, zebra_critical_pair
 from zebraperc.analytic import NonConvergenceError
 from zebraperc.cli import CSV_HEADER, main
 
@@ -296,8 +296,8 @@ class TestVerify:
         def crash():
             raise NonConvergenceError("no root after 3 iterations", 0.5)
 
-        monkeypatch.setattr(cli, "_suite_closed_form", crash)
-        monkeypatch.setattr(cli, "_suite_transform", lambda: [("transform stub", True, "skipped")])
+        monkeypatch.setattr(verify, "_suite_closed_form", crash)
+        monkeypatch.setattr(verify, "_suite_transform", lambda: [("transform stub", True, "skipped")])
         code, out, err = run_cli(capsys, ["verify", "--suite", "all"])
         assert code == 1
         lines = out.splitlines()
@@ -322,6 +322,37 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "--suite", "nope"])
         assert code == 2
         assert "error: --suite" in err
+
+
+#: Brute-force command lines and their stdout as the per-configuration loop
+#: printed it, before the oracle judged configurations by truth tables.
+ORACLE_STDOUT = [
+    ("verify --suite oracle",
+     "PASS oracle k=2 depths 1-3: max |brute force - recursion| = 1.643e-14\n"
+     "PASS oracle reference 15/16: exact P(alternating ray, depth 2, p=1/2) = 15/16\n"),
+    ("sweep --k 2 --depth 3 --methods brute-force --event zebra-count --steps 3 --format json",
+     "".join('{"k":2,"root_mode":"rooted-k","p":%s,"depth":3,"method":"brute-zebra-count",'
+             '"value":%s,"ci_low":%s,"ci_high":%s,"trials":0,"seed":0}\n' % (p, v, v, v)
+             for p, v in (("0.0", "0.0"), ("0.5", "2.0"), ("1.0", "0.0")))),
+    ("eval --k 2 --p 0.5 --method brute-force --event zebra --depth 3 --exact --format json",
+     '{"k":2,"root_mode":"rooted-k","p":0.5,"depth":3,"method":"brute-zebra",'
+     '"value":0.847412109375,"ci_low":0.847412109375,"ci_high":0.847412109375,'
+     '"trials":0,"seed":0}\n'),
+    ("eval --k 4 --p 0.3 --method brute-force --event zebra --depth 2",  # 20 edges
+     CSV_HEADER + "\n4,rooted-k,0.3,2,brute-zebra,0.999154920563,0.999154920563,"
+     "0.999154920563,0,0\n"),
+    ("eval --k 2 --full-cayley --p 0.3 --method brute-force --event zebra-count --depth 3",
+     CSV_HEADER + "\n2,full-cayley,0.3,3,brute-zebra-count,2.52000000001,2.52000000001,"
+     "2.52000000001,0,0\n"),  # 21 edges
+]
+
+
+class TestOracleOutput:
+    @pytest.mark.parametrize("command,stdout", ORACLE_STDOUT)
+    def test_stdout_is_unchanged(self, capsys, command, stdout):
+        code, out, _ = run_cli(capsys, command.split())
+        assert code == 0
+        assert out == stdout
 
 
 class TestTransformDemo:
@@ -544,7 +575,8 @@ class TestStartup:
     # typing, enum and re are not listed: an interpreter can load them before
     # any command runs (site may execute a .pth file that imports them).
     ANALYTIC_UNUSED = ("zebraperc.montecarlo", "zebraperc.tree", "zebraperc.rng",
-                       "zebraperc.kernel", "dataclasses", "inspect", "fractions", "decimal")
+                       "zebraperc.kernel", "zebraperc.verify", "dataclasses", "inspect",
+                       "fractions", "decimal")
 
     @pytest.mark.parametrize("argv", [
         ["critical", "--mode", "standard", "--k", "3"],

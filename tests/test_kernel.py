@@ -173,6 +173,16 @@ class TestLanes:
         for stream, code in zip(streams, codes):
             assert code == sum(stream.is_open(key, p) << j for j, key in enumerate(edge_keys))
 
+    def test_batches_of_equal_size_at_another_p(self):
+        """The kept mask and guard of one batch serve the next only at the same p."""
+        params, depth = TreeParams(2), 3
+        edge_keys = [vertex_key(e) for e in edges(params, depth)]
+        streams = [TrialStream(5, t) for t in range(8)]
+        for p in (0.2, 0.2, 0.8, 0.2):
+            codes = montecarlo.sample_codes(params, depth, p, [s.base for s in streams])
+            assert codes == [sum(s.is_open(key, p) << j for j, key in enumerate(edge_keys))
+                             for s in streams]
+
 
 def _cases():
     for k in (2, 3, 4):

@@ -246,6 +246,51 @@ class TestBruteForce:
         value = brute_force_probability(params, 0.5, zebra_ray(2))
         assert value == pytest.approx(zebra_dp(params, 0.5, 2)[2].z, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("params,depth", [
+        (TreeParams(4), 2), (TreeParams(2, RootMode.FULL_CAYLEY), 3),  # 20 and 21 edges
+    ])
+    def test_several_blocks_match_the_recursions(self, params, depth, kind):
+        n_edges = edge_count(params, depth)
+        assert n_edges > montecarlo.ORACLE_BLOCK_BITS
+        p = 0.3
+        want = {
+            EventKind.OPEN_RAY: lambda: open_ray_probability(params, p, depth),
+            EventKind.ZEBRA_RAY: lambda: zebra_dp(params, p, depth)[depth].z,
+            EventKind.ZEBRA_COUNT: lambda: expected_zebra_count(params, p, depth),
+        }[kind]()
+        event = EventSpec(kind, depth)
+        exact = brute_force_probability(params, p, event, exact=True)
+        assert float(exact) == pytest.approx(want, abs=1e-12)
+        # the float sum adds 2**n_edges terms in code order, each addition
+        # rounding by at most half an ulp of the running sum
+        value = brute_force_probability(params, p, event)
+        assert abs(Fraction(value) - exact) <= 2**n_edges * 2**-53 * exact
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("params,depth", [
+        (P2, 2), (P3, 1), (TreeParams(2, RootMode.FULL_CAYLEY), 2),
+    ])
+    def test_small_blocks_equal_witness_sum(self, monkeypatch, params, depth, kind, bits):
+        monkeypatch.setattr(montecarlo, "ORACLE_BLOCK_BITS", bits)
+        event = EventSpec(kind, depth)
+        for exact in (False, True):
+            for p in (0.2, 1 / 3, 0.8):
+                assert brute_force_probability(params, p, event, exact) == witness_sum(
+                    params, p, event, exact)
+
+    @pytest.mark.parametrize("bits", range(11))
+    def test_block_tables(self, bits):
+        tables, pops = montecarlo._block_tables(bits)
+        codes = range(1 << bits)
+        assert [[t >> c & 1 for c in codes] for t in tables] == [
+            [c >> j & 1 for c in codes] for j in range(bits)]
+        assert list(pops) == [c.bit_count() for c in codes]
+        classes = montecarlo._popcount_classes(bits)
+        assert [[m >> c & 1 for c in codes] for m in classes] == [
+            [c.bit_count() == h for c in codes] for h in range(bits + 1)]
+
 
 class TestTransformEquivalence:
     @pytest.mark.parametrize("params,m", [(P2, 2), (P2, 3), (P3, 2)])
