@@ -63,7 +63,8 @@ _HELP = {
     "output": "write the data to this file instead of stdout; verify writes "
     "the relation suite's deviation CSV there, and without it none",
     "methods": "comma-separated method list",
-    "exact": "rational arithmetic for brute-force",
+    "exact": "accepted and ignored: brute-force values are always the correctly "
+    "rounded exact sum",
     "input": "read the configuration from this fixture",
 }
 
@@ -258,7 +259,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
             est = montecarlo.estimate_event(params, p, event, trials, seed, _workers_from_env())
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
-        value = float(montecarlo.brute_force_probability(params, p, event, exact=rc["exact"]))
+        value = montecarlo.brute_force_probability(params, p, event)
         method = f"brute-{event_name}"
     return CurvePoint(params.k, params.root_mode, p, depth, method,
                       value, value, value, trials, seed)

@@ -17,7 +17,6 @@ import enum
 import functools
 import itertools
 import math
-import operator
 import os
 from collections import namedtuple
 
@@ -104,28 +103,29 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 # ---------------------------------------------------------------------------
 # configurations
 
-def sample_codes(params: TreeParams, depth: int, p: float, bases: list[int]) -> list[int]:
-    """Configuration codes of the depth-truncation, one per trial base word, in one kernel step.
+def sample_tables(params: TreeParams, depth: int, p: float, bases: list[int]) -> list[int]:
+    """Truth tables of the depth-truncation over a batch of trials, in one kernel step.
 
-    Bit j is the state, 1 open, of edge j of tree.edges(params, depth), drawn
-    from its address key by the rng contract, as the kernel's walks draw it.
+    Bit t of table j is the state, 1 open, of edge j of tree.edges(params,
+    depth) in the trial with base word bases[t], drawn from its address key by
+    the rng contract, as the kernel's walks draw it.
     """
     from . import kernel
 
     keys = list(map(vertex_key, tree.edges(params, depth)))
     n = len(keys)
     digits = kernel.edge_flags(p, keys, bases).translate(_DIGITS)
-    return [int(digits[t * n:(t + 1) * n][::-1], 2) for t in range(len(bases))]
+    return [int(digits[j::n][::-1], 2) for j in range(n)]
 
 
 def sample_sigma(params: TreeParams, depth: int, p: float, stream: TrialStream) -> tree.SigmaConfig:
     """A full bond configuration of the depth-truncation as a dict, the input/output form of
-    sample_codes for the one trial of `stream`."""
+    sample_tables for the one trial of `stream`."""
     check_probability(p)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    (code,) = sample_codes(params, depth, p, [stream.base])
-    return tree.sigma_of_code(tree.edges(params, depth), depth, code)
+    tables = sample_tables(params, depth, p, [stream.base])
+    return tree.SigmaConfig(depth, dict(zip(tree.edges(params, depth), map(tree.EdgeState, tables))))
 
 
 # ---------------------------------------------------------------------------
@@ -259,85 +259,64 @@ def estimate_event(
 #: Codes judged per truth-table pass: the low ORACLE_BLOCK_BITS edges take every
 #: state inside a block of 2**ORACLE_BLOCK_BITS codes, the higher edges one.
 ORACLE_BLOCK_BITS = 16
-#: Each byte plus one.
-_INC = bytes(range(1, 256)) + b"\x00"
-#: The binary digits "0" and "1" as bytes 0 and 1.
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @functools.lru_cache(maxsize=None)
-def _block_tables(bits: int) -> tuple[tuple[int, ...], bytes]:
-    """Truth tables of the low `bits` edges over a block of 2**bits codes, and the codes' popcounts.
+def _block_tables(bits: int) -> tuple[int, ...]:
+    """Truth tables of the low `bits` edges over a block of 2**bits codes: bit c of table j is bit j of c.
 
-    Bit c of table j is bit j of c; each table repeats one byte pattern. Byte c
-    of the popcounts is c.bit_count(), built by doubling: codes 2**j ..
-    2**(j+1)-1 have one bit more than codes 0 .. 2**j-1. Neither depends on
-    the tree, the event or p, so one build serves every oracle call.
+    Built by doubling: codes 2**j .. 2**(j+1)-1 repeat codes 0 .. 2**j-1 with
+    edge j set. Independent of the tree, the event and p, so one build serves
+    every oracle call.
     """
-    size = 1 << bits
-    tables = []
+    tables: list[int] = []
     for j in range(bits):
-        run = 1 << j >> 3  # bytes per run of equal bits; none below j = 3
-        pattern = bytes(run) + b"\xff" * run if run else bytes([(0xAA, 0xCC, 0xF0)[j]])
-        repeats = max(size // 8 // len(pattern), 1)
-        tables.append(int.from_bytes(pattern * repeats, "little") & ((1 << size) - 1))
-    pops = b"\x00"
-    for _ in range(bits):
-        pops += pops.translate(_INC)
-    return tuple(tables), pops
+        half = 1 << j
+        tables = [t | t << half for t in tables] + [((1 << half) - 1) << half]
+    return tuple(tables)
 
 
 @functools.lru_cache(maxsize=None)
 def _popcount_classes(bits: int) -> tuple[int, ...]:
-    """For h = 0 .. bits, the table of the codes of a block of 2**bits codes with h bits set."""
-    pops = _block_tables(bits)[1]
-    return tuple(int(pops.translate(bytes(b == h for b in range(256))).translate(_DIGITS)[::-1], 2)
-                 for h in range(bits + 1))
+    """For h = 0 .. bits, the table of the codes of a block of 2**bits codes with h bits set.
+
+    Built by doubling: a code 2**j + c has one bit more than c, so
+    C'_h = C_h | C_{h-1} << 2**j.
+    """
+    classes = [1]
+    for j in range(bits):
+        classes = [low | high << (1 << j) for low, high in zip(classes + [0], [0] + classes)]
+    return tuple(classes)
 
 
 def _multiplicity_planes(params: TreeParams, event: EventSpec, n_edges: int, bits: int):
     """Each block's multiplicities, every code of the block judged in one pass over the edges.
 
     Blocks come in code order; block b holds the codes b * 2**bits + c for
-    c < 2**bits. Yields per block the popcount of b and the multiplicity
-    planes: bit c of plane i is bit i of the multiplicity of code c, 1 or 0
-    for a ray event and the number of zebra-connected last-level edges for
-    the counting event. The reach table of an edge has bit c set when its
-    path from the root follows the rule in code c (tree.path_ends):
-    reach & (table ^ parent's table) for a zebra path, reach & table for an
-    open ray.
+    c < 2**bits, and tree.reach runs on their truth tables. Yields per block
+    the popcount of b and the multiplicity planes: bit c of plane i is bit i
+    of the multiplicity of code c, 1 or 0 for a ray event and the number of
+    zebra-connected last-level edges for the counting event.
     """
     roots, below = tree.edge_lists(params, event.depth)
-    low = _block_tables(bits)[0]
+    low = _block_tables(bits)
     full = (1 << (1 << bits)) - 1
+    start = [(j, full) for j in roots]
     alternate = event.kind is not EventKind.OPEN_RAY
     count = event.kind is EventKind.ZEBRA_COUNT
     for block in range(1 << (n_edges - bits)):
         tables = low + tuple(full if block >> i & 1 else 0 for i in range(n_edges - bits))
-        frontier = [(j, full if alternate else tables[j]) for j in roots]
-        while frontier and below[frontier[0][0]]:
-            frontier = [(c, reach & (tables[c] ^ tables[j] if alternate else tables[c]))
-                        for j, reach in frontier if reach for c in below[j]]
+        ends = tree.reach(below, start, tables, alternate)
         planes: list[int] = []
         if count:
-            for _, reach in frontier:  # bit-sliced ripple-carry add of one bit per code
+            for _, carry in ends:  # bit-sliced ripple-carry add of one bit per code
                 for i, plane in enumerate(planes):
-                    planes[i], reach = plane ^ reach, plane & reach
-                if reach:
-                    planes.append(reach)
+                    planes[i], carry = plane ^ carry, plane & carry
+                if carry:
+                    planes.append(carry)
         else:
-            planes.append(functools.reduce(operator.or_, (reach for _, reach in frontier), 0))
+            planes.append(tree.any_reached(ends))
         yield block.bit_count(), planes
-
-
-def _per_code(planes: list[int], bits: int) -> bytes:
-    """Byte c is the multiplicity of code c of the block, for multiplicities below 256."""
-    size = 1 << bits
-    per_code = 0
-    for i, plane in enumerate(planes):  # each bit of the plane becomes the byte 0 or 1
-        digits = format(plane, f"0{size}b")[::-1].encode().translate(_FROM_DIGITS)
-        per_code += int.from_bytes(digits, "little") << i
-    return per_code.to_bytes(size, "little")
 
 
 def brute_force_probability(
@@ -346,68 +325,47 @@ def brute_force_probability(
     """Event probability by summation over all configurations of the truncation.
 
     For the counting event the exact expectation of X_n is returned instead of
-    a probability. With exact=True a Fraction is returned, exact for the
-    binary expansion of p: the multiplicities are added up as integers per
-    number of open edges, and each such tally is weighted once by Fraction
-    powers of p and 1-p.
+    a probability. The result is the correctly rounded exact sum for the
+    binary expansion of p = a / b, or with exact=True that sum as a Fraction:
+    a configuration with h of its n edges open weighs a**h * (b-a)**(n-h) /
+    b**n, so the multiplicities, tallied as integers by h, make one integer
+    numerator over b**n, divided once.
 
-    Every configuration is judged by truth tables, an int per edge whose bit
-    `code` is the edge's state in configuration `code`: one big-int step
-    applies the path rule of tree.path_ends to a whole block of codes
-    (_multiplicity_planes). The multiplicities are tallied by popcount class
-    (exact) or read out one byte per code (floats).
-
-    Reproducibility contract: configuration `code` runs over 0 .. 2**n - 1 for
-    the n edges of the truncation, bit j of `code` (least significant first)
-    holding the state, 1 open, of edge j of tree.edges (the order of
-    tree.enumerate_configs). In floats its term, multiplicity * p**opens *
-    (1-p)**(n-opens) with the powers built by repeated multiplication, is
-    added to the sum in increasing order of `code`, so float results are
-    bit-identical from run to run. A configuration without a path adds the
-    term +0.0, which leaves the sum as it is.
+    Configuration `code` runs over 0 .. 2**n - 1, bit j of `code` (least
+    significant first) holding the state, 1 open, of edge j of tree.edges (the
+    order of tree.enumerate_configs). The truth tables of a block of codes go
+    through tree.reach in one big-int step per edge (_multiplicity_planes),
+    and the multiplicities are tallied by popcount class.
     """
     check_probability(p)
     n_edges = tree.check_enumerable(params, event.depth)
     bits = min(n_edges, ORACLE_BLOCK_BITS)
-    blocks = _multiplicity_planes(params, event, n_edges, bits)
+    classes = _popcount_classes(bits)
+    tally = [0] * (n_edges + 1)
+    for high, planes in _multiplicity_planes(params, event, n_edges, bits):
+        for h, members in enumerate(classes):
+            tally[high + h] += sum((plane & members).bit_count() << i
+                                   for i, plane in enumerate(planes))
+    a, b = p.as_integer_ratio()
+    num = sum(mult * a**opens * (b - a) ** (n_edges - opens)
+              for opens, mult in enumerate(tally) if mult)
     if exact:
         from fractions import Fraction
 
-        tally = [0] * (n_edges + 1)
-        classes = _popcount_classes(bits)
-        for high, planes in blocks:
-            for h, members in enumerate(classes):
-                tally[high + h] += sum((plane & members).bit_count() << i
-                                       for i, plane in enumerate(planes))
-        pf = Fraction(p)
-        return sum(
-            (mult * pf**opens * (1 - pf) ** (n_edges - opens)
-             for opens, mult in enumerate(tally) if mult),
-            Fraction(0),
-        )
-    p_pow = [1.0] + list(itertools.accumulate([p] * n_edges, lambda acc, v: acc * v))
-    q_pow = [1.0] + list(itertools.accumulate([1.0 - p] * n_edges, lambda acc, v: acc * v))
-    most = tree.level_size(params, event.depth) if event.kind is EventKind.ZEBRA_COUNT else 1
-    terms = [[mult * p_pow[opens] * q_pow[n_edges - opens] for opens in range(n_edges + 1)]
-             for mult in range(most + 1)]
-    pops = _block_tables(bits)[1]
-    total = 0.0
-    for high, planes in blocks:
-        rows = [row[high:high + bits + 1] for row in terms]  # by multiplicity, then low popcount
-        # a left fold in code order: builtin sum may compensate float rounding
-        total = functools.reduce(operator.add, map(
-            operator.getitem, map(rows.__getitem__, _per_code(planes, bits)), pops), total)
-    return total
+        return Fraction(num, b**n_edges)
+    return num / b**n_edges
 
 
 def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]) -> bool:
     """Sample a depth-2m configuration per trial base word and check the pair-transform correspondence.
 
     Contract: always True; any False is an implementation defect. The trials
-    are sampled in one step, so pass at most a batch of chunk_bases at a time.
+    are sampled in one step and checked as one set of truth tables, so pass at
+    most a batch of chunk_bases at a time.
     """
     check_probability(p)
-    return all(map(tree.transform_check(params, m), sample_codes(params, 2 * m, p, bases)))
+    tables = sample_tables(params, 2 * m, p, bases)
+    return not tree.transform_check(params, m)(tables, (1 << len(bases)) - 1)
 
 
 # ---------------------------------------------------------------------------

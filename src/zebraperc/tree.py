@@ -1,16 +1,18 @@
-"""Configurations of truncated rooted trees as integer codes, and the even-level pair transform.
+"""Configurations of truncated rooted trees as truth tables, and the even-level pair transform.
 
 A vertex is a tuple of child indices (the root is the empty tuple) and an edge
-is identified by its lower endpoint. Configurations are computed on as codes:
-bit j is the state, 1 open, of edge j of edges(params, depth), and paths are
-walks over the child-edge indices of edge_lists. SigmaConfig and PhiConfig,
-dicts from address to state, are input/output only: what enumerate_configs and
-montecarlo.sample_sigma return, what dump_*/load_sigma write and read.
+is identified by its lower endpoint. Configurations are computed on as truth
+tables, one int per edge j of edges(params, depth) whose bit c is the edge's
+state, 1 open, in configuration c; reach applies the path rule to all of them
+at once, walking the child-edge indices of edge_lists. SigmaConfig and
+PhiConfig, dicts from address to state, are input/output only: what
+enumerate_configs and montecarlo.sample_sigma return, what dump_*/load_sigma
+write and read.
 
 The transform maps bond configurations on the order-k tree to signed
 configurations on the tree over its even levels, whose interior branching
 order is k^2; each transformed edge covers two consecutive base edges. On
-codes the image is two codes, plus and minus, over the transformed edges.
+truth tables the image is two tables per transformed edge, plus and minus.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import enum
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator
-from operator import itemgetter
 
 from .params import TooLargeError, TreeParams
 
@@ -170,10 +171,10 @@ def hat_edge_decompose(params: TreeParams, x: Address, z: Address) -> tuple[Addr
 
 
 # ---------------------------------------------------------------------------
-# edge indices and codes
+# edge indices, codes and truth tables
 
 def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int]]]:
-    """Child-edge indices of the depth-truncation, for configurations held as codes.
+    """Child-edge indices of the depth-truncation, for configurations held as truth tables.
 
     Edge j is edges(params, depth)[j]. Returns the indices of the edges below
     the root and, for each edge j, the indices of the edges just below its
@@ -186,16 +187,6 @@ def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int
         for e in edge_list
     ]
     return [index[c] for c in children(params, ROOT)], below
-
-
-def _code(edge_list: list[Address], labels: dict, label) -> int:
-    """The code whose bit j is set when edge edge_list[j] carries `label`."""
-    return sum(1 << j for j, e in enumerate(edge_list) if labels[e] is label)
-
-
-def sigma_of_code(edge_list: list[Address], depth: int, code: int) -> SigmaConfig:
-    """The SigmaConfig of a code of the depth-truncation; edge_list is edges(params, depth)."""
-    return SigmaConfig(depth, {e: EdgeState(code >> j & 1) for j, e in enumerate(edge_list)})
 
 
 def check_enumerable(params: TreeParams, depth: int) -> int:
@@ -212,122 +203,130 @@ def enumerate_configs(params: TreeParams, depth: int) -> Iterator[SigmaConfig]:
     The configurations are the codes 0 .. 2**edge_count - 1 in increasing
     order, each turned into its SigmaConfig: code bit j (least significant
     first) is the state, 1 open, of edge j of edges(params, depth). The
-    code-th configuration yielded is the one path_ends and brute-force sums
-    see as `code`. Raises TooLargeError past MAX_ENUM_EDGES edges.
+    code-th configuration yielded is configuration `code` of the brute-force
+    oracle's truth tables. Raises TooLargeError past MAX_ENUM_EDGES edges.
     """
     check_enumerable(params, depth)
     edge_list = edges(params, depth)
     for code in range(1 << len(edge_list)):
-        yield sigma_of_code(edge_list, depth, code)
+        yield SigmaConfig(depth, {e: EdgeState(code >> j & 1) for j, e in enumerate(edge_list)})
 
 
-def path_ends(roots: list[int], below: list[list[int]], code: int, alternate: bool) -> list[int]:
-    """The last-level edges whose path from the root follows the rule in `code`, in child order.
+def reach(below: list[list[int]], start, tables, alternate: bool) -> list[tuple[int, int]]:
+    """The last-level edges that some path from the root reaches by the rule, and in which configurations.
 
-    `roots` and `below` come from edge_lists and `code` is a configuration
-    (bit j is the state of edge j). With alternate=False every edge of the
-    path must be open (an open ray); with alternate=True the first edge may
-    take either state and every later edge the opposite of the one above it
-    (a zebra path); a subset of the root edges pins the first edge.
+    Bit c of tables[j] is the state, 1 open, of edge j in configuration c,
+    whatever indexes the configurations: the codes of an enumeration block,
+    the trials of a batch, or the one configuration of a one-bit table.
+    `start` pairs each first edge with the configurations in which a path may
+    start there, and `below` comes from edge_lists. With alternate=False every
+    edge of the path must be open (an open ray); with alternate=True the first
+    edge may take either state and every later edge the opposite of the one
+    above it (a zebra path). Returns (edge, configurations) pairs in child
+    order, for the edges reached in at least one configuration.
     """
-    if alternate:
-        frontier = roots
-        while frontier and below[frontier[0]]:
-            frontier = [c for j in frontier for c in below[j] if (code >> c ^ code >> j) & 1]
-    else:
-        frontier = [j for j in roots if code >> j & 1]
-        while frontier and below[frontier[0]]:
-            frontier = [c for j in frontier for c in below[j] if code >> c & 1]
+    frontier = [(j, r) for j, m in start if (r := m if alternate else m & tables[j])]
+    while frontier and below[frontier[0][0]]:
+        frontier = [(c, r) for j, m in frontier for c in below[j]
+                    if (r := m & (tables[c] ^ tables[j] if alternate else tables[c]))]
     return frontier
 
 
+def any_reached(ends: list[tuple[int, int]]) -> int:
+    """The configurations in which reach reached at least one last-level edge."""
+    out = 0
+    for _, configs in ends:
+        out |= configs
+    return out
+
+
 # ---------------------------------------------------------------------------
-# the pair transform on codes
+# the pair transform
 
-def transform_codes(params: TreeParams, m: int):
-    """The transform of depth-2m codes: code -> (plus, minus), codes over edges(hat_shape(params), m).
-
-    A transformed edge is + when its base pair is (open, closed), - for
-    (closed, open), and 0 when the two base states agree; the first member of
-    the pair is the base edge closer to the root.
-    """
-    if m < 1:
-        raise ValueError(f"half-depth must be >= 1, got {m}")
-    edge_list = edges(params, 2 * m)
-    top = len(edge_list) - 1
-    index = dict(zip(edge_list, itertools.count()))
-    ends = [hat_to_base(params, hv) for hv in reversed(edges(hat_shape(params), m))]
-    # bit j of a code is digit top - j of its binary numeral, which lists the last bit first
-    upper = itemgetter(*[top - index[z[:-1]] for z in ends])
-    lower = itemgetter(*[top - index[z] for z in ends])
-
-    def phi(code: int) -> tuple[int, int]:
-        digits = format(code, f"0{top + 1}b")
-        a, b = int("".join(upper(digits)), 2), int("".join(lower(digits)), 2)
-        return a & ~b, b & ~a
-
-    return phi
+def _base_pair(params: TreeParams, hv: Address) -> tuple[Address, Address]:
+    """The base edges, upper first, that the transformed edge with lower endpoint hv covers."""
+    return hat_edge_decompose(params, hat_to_base(params, hv[:-1]), hat_to_base(params, hv))
 
 
 def transform_check(params: TreeParams, m: int):
-    """The alternating-ray / constant-sign-path correspondence as a test on depth-2m codes.
+    """The alternating-ray / constant-sign-path correspondence as a test on depth-2m truth tables.
 
-    holds(code) is True when an alternating ray of length 2m whose first edge
-    is open exists exactly when a length-m all-plus path exists in the image,
-    and likewise closed/minus. The indices are built once, here.
+    failures(tables, full) takes one table per edge of edges(params, 2m), bit
+    c the edge's state in configuration c, and `full`, the configurations
+    checked. It returns the configurations where an alternating ray of length
+    2m whose first edge is open exists and a length-m all-plus path in the
+    image does not, or the other way round, and likewise closed/minus. A
+    transformed edge is + where its base pair (_base_pair) is (open, closed)
+    and - where it is (closed, open). The indices are built once, here.
     """
-    phi = transform_codes(params, m)
+    if m < 1:
+        raise ValueError(f"half-depth must be >= 1, got {m}")
+    index = dict(zip(edges(params, 2 * m), itertools.count()))
+    pairs = [[index[e] for e in _base_pair(params, hv)] for hv in edges(hat_shape(params), m)]
     roots, below = edge_lists(params, 2 * m)
     hat_roots, hat_below = edge_lists(hat_shape(params), m)
 
-    def holds(code: int) -> bool:
-        plus, minus = phi(code)
-        for state, signed in ((1, plus), (0, minus)):
-            first = [j for j in roots if code >> j & 1 == state]
-            if bool(path_ends(first, below, code, True)) != bool(
-                    path_ends(hat_roots, hat_below, signed, False)):
-                return False
-        return True
+    def failures(tables, full: int) -> int:
+        plus = [tables[u] & ~tables[v] for u, v in pairs]
+        minus = [tables[v] & ~tables[u] for u, v in pairs]
+        bad = 0
+        for first, signed in (([tables[j] for j in roots], plus),
+                              ([full & ~tables[j] for j in roots], minus)):
+            rays = reach(below, list(zip(roots, first)), tables, True)
+            paths = reach(hat_below, [(j, full) for j in hat_roots], signed, False)
+            bad |= any_reached(rays) ^ any_reached(paths)
+        return bad
 
-    return holds
+    return failures
 
 
 def phi_of_sigma(params: TreeParams, sigma: SigmaConfig) -> PhiConfig:
-    """Image of a bond configuration on the transformed tree, as a dict (transform_codes)."""
+    """Image of a bond configuration on the transformed tree, as a dict.
+
+    Each transformed edge takes the state of its upper base edge minus that of
+    its lower one: + for (open, closed), - for (closed, open), 0 otherwise.
+    """
     if sigma.depth % 2:
         raise OddDepthError(f"even depth required, got {sigma.depth}")
     m = sigma.depth // 2
-    code = _code(edges(params, sigma.depth), sigma.states, EdgeState.OPEN)
-    plus, minus = transform_codes(params, m)(code)
-    values = {hv: PhiValue((plus >> j & 1) - (minus >> j & 1))
-              for j, hv in enumerate(edges(hat_shape(params), m))}
+    values = {}
+    for hv in edges(hat_shape(params), m):
+        upper, lower = _base_pair(params, hv)
+        values[hv] = PhiValue(sigma.states[upper] - sigma.states[lower])
     return PhiConfig(depth=m, values=values)
 
 
 # ---------------------------------------------------------------------------
 # path witnesses and counts on explicit configurations
 
-def _witness(params, length: int, labels: dict, label, first,
-             alternate: bool) -> list[Address] | None:
-    """Vertices of the first path of `length` edges in child order, or None.
+def _ends(shape, length: int, depth: int, labels: dict, label, first,
+          alternate: bool) -> list[Address]:
+    """The last-level edges, in child order, of the length-`length` paths that follow reach's rule.
 
-    An edge is set when it carries `label`, the path follows path_ends' rule,
-    and `first`, 1 or 0, pins the first edge as set or clear.
+    The configuration has depth `depth`; an edge is set when it carries
+    `label`, and `first`, 1 or 0, pins the first edge as set or clear. Raises
+    ValueError unless 1 <= length <= depth.
     """
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
-    edge_list = edges(params, length)
-    roots, below = edge_lists(params, length)
-    code = _code(edge_list, labels, label)
-    if first is not None:
-        roots = [j for j in roots if code >> j & 1 == first]
-    ends = path_ends(roots, below, code, alternate)
-    return [edge_list[ends[0]][:n] for n in range(1, length + 1)] if ends else None
+    if length > depth:
+        raise ValueError(f"path length {length} exceeds the configuration depth {depth}")
+    edge_list = edges(shape, length)
+    roots, below = edge_lists(shape, length)
+    tables = [int(labels[e] is label) for e in edge_list]
+    start = [(j, 1 if first is None else int(tables[j] == first)) for j in roots]
+    return [edge_list[j] for j, _ in reach(below, start, tables, alternate)]
+
+
+def _witness(*args) -> list[Address] | None:
+    """Vertices of the first of _ends' paths, or None."""
+    ends = _ends(*args)
+    return [ends[0][:n] for n in range(1, len(ends[0]) + 1)] if ends else None
 
 
 def open_ray_witness(params: TreeParams, sigma: SigmaConfig, length: int) -> list[Address] | None:
     """Vertices of one descending all-open path of the given length, or None."""
-    return _witness(params, length, sigma.states, EdgeState.OPEN, None, False)
+    return _witness(params, length, sigma.depth, sigma.states, EdgeState.OPEN, None, False)
 
 
 def zebra_ray_witness(
@@ -340,22 +339,19 @@ def zebra_ray_witness(
 
     `first` pins the state of the first edge; None admits either state.
     """
-    return _witness(params, length, sigma.states, EdgeState.OPEN, first, True)
+    return _witness(params, length, sigma.depth, sigma.states, EdgeState.OPEN, first, True)
 
 
 def signed_path_witness(
     params: TreeParams, phi: PhiConfig, length: int, sign: PhiValue
 ) -> list[Address] | None:
     """Descending constant-`sign` path of the given length in a transformed config."""
-    return _witness(hat_shape(params), length, phi.values, sign, None, False)
+    return _witness(hat_shape(params), length, phi.depth, phi.values, sign, None, False)
 
 
 def zebra_connected_count(params: TreeParams, sigma: SigmaConfig, depth: int) -> int:
     """Number of depth-`depth` vertices whose root path alternates open/closed."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    code = _code(edges(params, depth), sigma.states, EdgeState.OPEN)
-    return len(path_ends(*edge_lists(params, depth), code, True))
+    return len(_ends(params, depth, sigma.depth, sigma.states, EdgeState.OPEN, None, True))
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,9 @@ def _suite_transform() -> list[tuple[str, bool, str]]:
     from . import montecarlo, tree
 
     params2 = TreeParams(k=2)
-    holds = tree.transform_check(params2, 1)
-    exhaustive_ok = all(map(holds, range(1 << tree.edge_count(params2, 2))))
+    n_edges = tree.edge_count(params2, 2)
+    failures = tree.transform_check(params2, 1)
+    exhaustive_ok = not failures(montecarlo._block_tables(n_edges), (1 << (1 << n_edges)) - 1)
     results = [("transform exhaustive k=2 depth=2", exhaustive_ok, "all 64 configurations")]
     checks = [
         ("k=2 depth=4", params2, 2, 16384),

@@ -324,11 +324,11 @@ class TestVerify:
         assert "error: --suite" in err
 
 
-#: Brute-force command lines and their stdout as the per-configuration loop
-#: printed it, before the oracle judged configurations by truth tables.
+#: Brute-force command lines and their stdout: every value is the exact sum,
+#: rounded once.
 ORACLE_STDOUT = [
     ("verify --suite oracle",
-     "PASS oracle k=2 depths 1-3: max |brute force - recursion| = 1.643e-14\n"
+     "PASS oracle k=2 depths 1-3: max |brute force - recursion| = 1.665e-16\n"
      "PASS oracle reference 15/16: exact P(alternating ray, depth 2, p=1/2) = 15/16\n"),
     ("sweep --k 2 --depth 3 --methods brute-force --event zebra-count --steps 3 --format json",
      "".join('{"k":2,"root_mode":"rooted-k","p":%s,"depth":3,"method":"brute-zebra-count",'
@@ -339,11 +339,12 @@ ORACLE_STDOUT = [
      '"value":0.847412109375,"ci_low":0.847412109375,"ci_high":0.847412109375,'
      '"trials":0,"seed":0}\n'),
     ("eval --k 4 --p 0.3 --method brute-force --event zebra --depth 2",  # 20 edges
-     CSV_HEADER + "\n4,rooted-k,0.3,2,brute-zebra,0.999154920563,0.999154920563,"
-     "0.999154920563,0,0\n"),
+     CSV_HEADER + "\n4,rooted-k,0.3,2,brute-zebra,0.999154920565,0.999154920565,"
+     "0.999154920565,0,0\n"),
+    ("eval --k 4 --p 0.3 --method brute-force --event zebra-count --depth 2",
+     CSV_HEADER + "\n4,rooted-k,0.3,2,brute-zebra-count,6.72,6.72,6.72,0,0\n"),
     ("eval --k 2 --full-cayley --p 0.3 --method brute-force --event zebra-count --depth 3",
-     CSV_HEADER + "\n2,full-cayley,0.3,3,brute-zebra-count,2.52000000001,2.52000000001,"
-     "2.52000000001,0,0\n"),  # 21 edges
+     CSV_HEADER + "\n2,full-cayley,0.3,3,brute-zebra-count,2.52,2.52,2.52,0,0\n"),  # 21 edges
 ]
 
 
@@ -353,6 +354,11 @@ class TestOracleOutput:
         code, out, _ = run_cli(capsys, command.split())
         assert code == 0
         assert out == stdout
+
+    def test_exact_flag_changes_nothing(self, capsys):
+        command = ["eval", "--k", "4", "--p", "0.3", "--method", "brute-force", "--event",
+                   "zebra", "--depth", "2"]  # 20 edges
+        assert run_cli(capsys, command)[:2] == run_cli(capsys, command + ["--exact"])[:2]
 
 
 class TestTransformDemo:

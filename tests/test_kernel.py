@@ -165,13 +165,13 @@ class TestLanes:
         (TreeParams(2), 4), (TreeParams(3), 3), (TreeParams(2, RootMode.FULL_CAYLEY), 5),
     ])
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
-    def test_sampled_codes_match_the_scalar_stream(self, params, depth, p):
-        """Bit j of a code is edge j of tree.edges, drawn by TrialStream.is_open."""
+    def test_sampled_tables_match_the_scalar_stream(self, params, depth, p):
+        """Bit t of table j is edge j of tree.edges in trial t, drawn by TrialStream.is_open."""
         streams = [TrialStream(4, t) for t in range(40)]
-        codes = montecarlo.sample_codes(params, depth, p, [s.base for s in streams])
+        tables = montecarlo.sample_tables(params, depth, p, [s.base for s in streams])
         edge_keys = [vertex_key(e) for e in edges(params, depth)]
-        for stream, code in zip(streams, codes):
-            assert code == sum(stream.is_open(key, p) << j for j, key in enumerate(edge_keys))
+        assert tables == [sum(s.is_open(key, p) << t for t, s in enumerate(streams))
+                          for key in edge_keys]
 
     def test_batches_of_equal_size_at_another_p(self):
         """The kept mask and guard of one batch serve the next only at the same p."""
@@ -179,9 +179,9 @@ class TestLanes:
         edge_keys = [vertex_key(e) for e in edges(params, depth)]
         streams = [TrialStream(5, t) for t in range(8)]
         for p in (0.2, 0.2, 0.8, 0.2):
-            codes = montecarlo.sample_codes(params, depth, p, [s.base for s in streams])
-            assert codes == [sum(s.is_open(key, p) << j for j, key in enumerate(edge_keys))
-                             for s in streams]
+            tables = montecarlo.sample_tables(params, depth, p, [s.base for s in streams])
+            assert tables == [sum(s.is_open(key, p) << t for t, s in enumerate(streams))
+                              for key in edge_keys]
 
 
 def _cases():

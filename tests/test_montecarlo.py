@@ -157,33 +157,30 @@ class TestEstimators:
         assert covered >= 28
 
 
-def witness_sum(params, p, event, exact):
-    """The oracle's sum the long way: explicit configurations, each path judged in the test.
+def witness_sum(params, p, event):
+    """The oracle's exact sum the long way: explicit configurations, each path judged in the test.
 
-    Each last-level address's root path is read from sigma.states. Terms are
-    added in enumeration order with powers built by repeated multiplication,
-    so a float result must equal the oracle's bit for bit.
+    Each last-level address's root path is read from sigma.states. The
+    oracle's float result must equal float() of this Fraction, its correct
+    rounding.
     """
-    pf, one = (Fraction(p), Fraction(1)) if exact else (p, 1.0)
+    pf = Fraction(p)
     n_edges = edge_count(params, event.depth)
-    p_pow, q_pow = [one], [one]
-    for _ in range(n_edges):
-        p_pow.append(p_pow[-1] * pf)
-        q_pow.append(q_pow[-1] * (one - pf))
+    weights = [pf**h * (1 - pf) ** (n_edges - h) for h in range(n_edges + 1)]
 
     def follows(states):
         if event.kind is EventKind.OPEN_RAY:
             return all(s is EdgeState.OPEN for s in states)
         return all(a is not b for a, b in zip(states, states[1:]))
 
-    total = one - one
+    total = Fraction(0)
     for sigma in enumerate_configs(params, event.depth):
         ends = [v for v in sigma.states if len(v) == event.depth]
         hits = sum(follows([sigma.states[v[:i]] for i in range(1, event.depth + 1)]) for v in ends)
         mult = hits if event.kind is EventKind.ZEBRA_COUNT else int(hits > 0)
         if mult:
             opens = sum(sigma.states.values())
-            total += mult * p_pow[opens] * q_pow[n_edges - opens]
+            total += mult * weights[opens]
     return total
 
 
@@ -198,7 +195,8 @@ class TestBruteForce:
         for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0):
             value = brute_force_probability(params, p, event, exact=exact)
             assert type(value) is (Fraction if exact else float)
-            assert value == witness_sum(params, p, event, exact)
+            want = witness_sum(params, p, event)
+            assert value == (want if exact else float(want))
 
     @pytest.mark.parametrize("kind,p,exact", [
         (EventKind.ZEBRA_COUNT, 0.8, False), (EventKind.ZEBRA_RAY, 0.5, True),
@@ -207,7 +205,8 @@ class TestBruteForce:
         event = EventSpec(kind, 3)
         value = brute_force_probability(P2, p, event, exact=exact)
         assert type(value) is (Fraction if exact else float)
-        assert value == witness_sum(P2, p, event, exact)
+        want = witness_sum(P2, p, event)
+        assert value == (want if exact else float(want))
 
     def test_cap_is_checked_before_any_edge_is_listed(self, monkeypatch):
         from zebraperc import tree
@@ -262,10 +261,8 @@ class TestBruteForce:
         event = EventSpec(kind, depth)
         exact = brute_force_probability(params, p, event, exact=True)
         assert float(exact) == pytest.approx(want, abs=1e-12)
-        # the float sum adds 2**n_edges terms in code order, each addition
-        # rounding by at most half an ulp of the running sum
-        value = brute_force_probability(params, p, event)
-        assert abs(Fraction(value) - exact) <= 2**n_edges * 2**-53 * exact
+        # the float result is the exact sum, rounded once
+        assert brute_force_probability(params, p, event) == float(exact)
 
     @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
     @pytest.mark.parametrize("kind", list(EventKind))
@@ -275,18 +272,17 @@ class TestBruteForce:
     def test_small_blocks_equal_witness_sum(self, monkeypatch, params, depth, kind, bits):
         monkeypatch.setattr(montecarlo, "ORACLE_BLOCK_BITS", bits)
         event = EventSpec(kind, depth)
-        for exact in (False, True):
-            for p in (0.2, 1 / 3, 0.8):
-                assert brute_force_probability(params, p, event, exact) == witness_sum(
-                    params, p, event, exact)
+        for p in (0.2, 1 / 3, 0.8):
+            want = witness_sum(params, p, event)
+            assert brute_force_probability(params, p, event, exact=True) == want
+            assert brute_force_probability(params, p, event) == float(want)
 
     @pytest.mark.parametrize("bits", range(11))
     def test_block_tables(self, bits):
-        tables, pops = montecarlo._block_tables(bits)
+        tables = montecarlo._block_tables(bits)
         codes = range(1 << bits)
         assert [[t >> c & 1 for c in codes] for t in tables] == [
             [c >> j & 1 for c in codes] for j in range(bits)]
-        assert list(pops) == [c.bit_count() for c in codes]
         classes = montecarlo._popcount_classes(bits)
         assert [[m >> c & 1 for c in codes] for m in classes] == [
             [c.bit_count() == h for c in codes] for h in range(bits + 1)]

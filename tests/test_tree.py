@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zebraperc import RootMode, TreeParams
-from zebraperc.montecarlo import sample_sigma
+from zebraperc.montecarlo import _block_tables, sample_sigma
 from zebraperc.rng import TrialStream
 from zebraperc.tree import (
     ROOT,
@@ -201,8 +201,8 @@ class TestWitnesses:
         assert witness == [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
         phi = phi_of_sigma(params, sigma)
         assert signed_path_witness(params, phi, 2, PhiValue.MINUS) == [(0,), (0, 0)]
-        code = sum(1 << j for j, e in enumerate(edges(params, 4)) if sigma.states[e])
-        assert transform_check(params, 2)(code)
+        tables = [int(sigma.states[e]) for e in edges(params, 4)]  # one configuration
+        assert transform_check(params, 2)(tables, 1) == 0
 
     def test_open_ray_and_count(self):
         params = TreeParams(2)
@@ -221,8 +221,32 @@ class TestWitnesses:
     def test_exhaustive_correspondence_depth2(self):
         # 64, 4,096 and 512 configurations
         for params in (TreeParams(2), TreeParams(3), TreeParams(2, RootMode.FULL_CAYLEY)):
-            holds = transform_check(params, 1)
-            assert all(map(holds, range(1 << edge_count(params, 2))))
+            n_edges = edge_count(params, 2)
+            full = (1 << (1 << n_edges)) - 1
+            assert transform_check(params, 1)(_block_tables(n_edges), full) == 0
+
+    def test_exhaustive_check_flags_a_wrong_transform(self, monkeypatch):
+        """With the upper and lower base edges swapped, the check flags configurations."""
+        from zebraperc import tree
+
+        decompose = tree.hat_edge_decompose
+        monkeypatch.setattr(tree, "hat_edge_decompose", lambda *args: decompose(*args)[::-1])
+        params = TreeParams(2)
+        bad = transform_check(params, 1)(_block_tables(edge_count(params, 2)), (1 << 64) - 1)
+        assert bad.bit_count() == 42
+
+    @pytest.mark.parametrize("length", [3, 4])
+    def test_witnesses_past_the_configuration_depth(self, length):
+        params = TreeParams(2)
+        sigma = _uniform_sigma(params, 2, EdgeState.OPEN)
+        phi = phi_of_sigma(params, _uniform_sigma(params, 4, EdgeState.OPEN))  # depth 2
+        message = f"path length {length} exceeds the configuration depth 2"
+        for witness in (lambda: open_ray_witness(params, sigma, length),
+                        lambda: zebra_ray_witness(params, sigma, length),
+                        lambda: signed_path_witness(params, phi, length, PhiValue.PLUS),
+                        lambda: zebra_connected_count(params, sigma, length)):
+            with pytest.raises(ValueError, match=message):
+                witness()
 
     @pytest.mark.parametrize("params,depth,configs", [
         (TreeParams(2), 2, None),
