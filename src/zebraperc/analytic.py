@@ -2,7 +2,9 @@
 
 Closed forms, fixed-point solves, exact finite-depth recursions, critical
 values, and the order-k^2 relation between the two percolation functions on
-rooted trees of branching order k. All functions are pure.
+rooted trees of branching order k. Both fixed-point solves, theta's branch
+value and the zebra depth limit, are one Newton solve of the even-level map
+(`_even_level_limit`), with q = p for open paths. All functions are pure.
 """
 
 from __future__ import annotations
@@ -111,39 +113,70 @@ def _power_series(k: int, u: float) -> tuple[float, float]:
     return s, ds
 
 
-def _branch_gap(k: int, p: float, excess: float, x: float) -> tuple[float, float]:
-    """g(x) = 1 - (1 - p x)^k - x and its slope g'(x), without cancellation.
+def _zebra_gap(k: int, p: float, q: float, excess: float, a: float) -> tuple[float, float]:
+    """h(a) = F(G(a)) - a and its slope h'(a), without cancellation.
 
-    excess is k p - 1, rounded once. Where k p x > 1/2, g is evaluated
-    directly; there |g'| is bounded away from 0 on the iterates. Below that,
-    g = x (excess - p S(px)) with S from `_power_series`. The difference
-    excess - p S is then the only cancellation left, and it is the
+    F, G and q are those of `_even_level_limit`; excess is k^2 p q - 1, rounded
+    once. Where k q a or k p G exceeds 1/2, h is evaluated directly; there the
+    fixed point lies away from 0 and |h'| is bounded away from 0. Below that,
+    with u = q a, v = p G and S from `_power_series`,
+    h = a (excess - k p q S(u)) - p G S(v), and the difference is again the
     conditioning of the root itself.
     """
-    u = p * x
-    if k * u > 0.5:
-        log_rest = math.log1p(-u)
-        return (-math.expm1(k * log_rest) - x,
-                k * p * math.exp((k - 1) * log_rest) - 1.0)
-    s, ds = _power_series(k, u)
-    h = excess - p * s
-    return x * h, h - x * p * p * ds
+    u = q * a
+    log_u = math.log1p(-u)
+    g = -math.expm1(k * log_u)
+    v = p * g
+    log_v = math.log1p(-v)
+    if k * max(u, v) > 0.5:
+        return (-math.expm1(k * log_v) - a,
+                k * k * p * q * math.exp((k - 1) * (log_u + log_v)) - 1.0)
+    s_u, ds_u = _power_series(k, u)
+    s_v, ds_v = _power_series(k, v)
+    kpq = k * p * q
+    dg = q * (k - s_u - u * ds_u)
+    return (a * (excess - kpq * s_u) - p * g * s_v,
+            excess - kpq * (s_u + u * ds_u) - p * dg * (s_v + v * ds_v))
 
 
-def theta_branch_fixed_point(
-    k: int, p: float, cfg: SolverConfig = FIXED_POINT_CONFIG
-) -> float:
-    """Largest fixed point of x -> 1 - (1 - p x)^k, by Newton's method from 1.
+def _even_level_limit(k: int, p: float, alternate: bool, cfg: SolverConfig) -> float:
+    """Largest fixed point a of the even-level map a -> F(G(a)), by Newton's method from 1.
 
-    Returns exactly 0 for p <= 1/k and 1 for p = 1 without iterating. The map
-    is increasing and concave with a convex slope, so the Newton iterates for
-    g(x) = 1 - (1 - p x)^k - x fall monotonically onto the positive fixed point
-    and each step at least halves the distance to it. The solve stops when a
-    step moves x by at most cfg.tol * x, or no longer moves it down; the value
-    returned then lies above the fixed point by at most that step, so cfg.tol
-    bounds its relative (and, as x <= 1, its absolute) error up to rounding.
-    g is evaluated without cancellation (see `_branch_gap`), so the result
-    keeps full float accuracy as p approaches 1/k.
+    F(b) = 1 - (1 - p b)^k and G(a) = 1 - (1 - q a)^k, a two-type Galton-Watson
+    generating map, with q = 1 - p for alternating paths (`alternate`, as in
+    tree.reach) and q = p for open ones; exactly 0 when k^2 p q <= 1. The map is
+    increasing and concave, so the iterates for h(a) = F(G(a)) - a fall
+    monotonically onto the fixed point. A step of at most cfg.tol * a, or one
+    not down, stops the solve; the value returned is at most that step above it.
+    h is evaluated without cancellation (see `_zebra_gap`) from k^2 p q - 1
+    computed exactly, so full float accuracy holds as k^2 p q approaches 1.
+    """
+    num, den = p.as_integer_ratio()
+    excess_num = k * k * num * (den - num if alternate else num) - den * den
+    if excess_num <= 0:
+        return 0.0
+    excess = excess_num / (den * den)  # k^2 p q - 1, rounded once
+    q = 1.0 - p if alternate else p
+    a = 1.0
+    for _ in range(cfg.max_iter):
+        gap, slope = _zebra_gap(k, p, q, excess, a)
+        a_next = a - gap / slope
+        step = a - a_next
+        if step <= cfg.tol * a_next:
+            return min(a, a_next)
+        a = a_next
+    what = "zebra limit" if alternate else "fixed point"
+    raise NonConvergenceError(f"{what} not within tol={cfg.tol} after {cfg.max_iter} iterations",
+                              a, cfg.max_iter, step)
+
+
+def theta_branch_fixed_point(k: int, p: float, cfg: SolverConfig = FIXED_POINT_CONFIG) -> float:
+    """Largest fixed point of F(x) = 1 - (1 - p x)^k: the branch value of theta_k.
+
+    F is increasing, so F(F(x)) has the same fixed points: this is
+    `_even_level_limit` with q = p, and cfg.max_iter (--max-iter) counts its
+    Newton steps on F(F(x)). cfg.tol bounds the relative (and, as x <= 1, the
+    absolute) error. Exactly 0 for p <= 1/k and 1 for p = 1, without iterating.
     """
     check_probability(p)
     if k < 2:
@@ -152,20 +185,7 @@ def theta_branch_fixed_point(
         return 0.0
     if p == 1.0:
         return 1.0
-    num, den = p.as_integer_ratio()
-    excess = (k * num - den) / den  # k p - 1, rounded once
-    x = 1.0
-    for _ in range(cfg.max_iter):
-        gap, slope = _branch_gap(k, p, excess, x)
-        x_next = x - gap / slope
-        step = x - x_next
-        if step <= cfg.tol * x_next:
-            return min(x, x_next)
-        x = x_next
-    raise NonConvergenceError(
-        f"fixed point not within tol={cfg.tol} after {cfg.max_iter} iterations", x,
-        cfg.max_iter, step,
-    )
+    return _even_level_limit(k, p, False, cfg)
 
 
 def theta_fixed_point(
@@ -236,73 +256,28 @@ def zebra_dp(params: TreeParams, p: float, n: int) -> list[ZebraDPState]:
     return states
 
 
-def _zebra_gap(k: int, p: float, q: float, excess: float, a: float) -> tuple[float, float]:
-    """h(a) = F(G(a)) - a and its slope h'(a), without cancellation.
-
-    G(a) = 1 - (1 - q a)^k and F(b) = 1 - (1 - p b)^k; excess is k^2 p q - 1,
-    rounded once. Where k q a or k p G exceeds 1/2, h is evaluated directly;
-    there the fixed point lies away from 0 and |h'| is bounded away from 0.
-    Below that, with u = q a, v = p G and S from `_power_series`,
-    h = a (excess - k p q S(u)) - p G S(v), and the difference is again the
-    conditioning of the root itself.
-    """
-    u = q * a
-    log_u = math.log1p(-u)
-    g = -math.expm1(k * log_u)
-    v = p * g
-    log_v = math.log1p(-v)
-    if k * max(u, v) > 0.5:
-        return (-math.expm1(k * log_v) - a,
-                k * k * p * q * math.exp((k - 1) * (log_u + log_v)) - 1.0)
-    s_u, ds_u = _power_series(k, u)
-    s_v, ds_v = _power_series(k, v)
-    kpq = k * p * q
-    dg = q * (k - s_u - u * ds_u)
-    return (a * (excess - kpq * s_u) - p * g * s_v,
-            excess - kpq * (s_u + u * ds_u) - p * dg * (s_v + v * ds_v))
-
-
-def _zebra_root(params: TreeParams, p: float, q: float, a: float) -> float:
-    """Root value 1 - (1 - (p G(a) + q a))^d of the even-level value a."""
-    s = p * -math.expm1(params.k * math.log1p(-q * a)) + q * a
+def _zebra_root(params: TreeParams, p: float, a: float) -> float:
+    """Root value 1 - (1 - (p G(a) + q a))^d of the even-level value a, q = 1 - p."""
+    qa = (1.0 - p) * a
+    s = p * -math.expm1(params.k * math.log1p(-qa)) + qa
     return 1.0 if s >= 1.0 else -math.expm1(params.root_degree * math.log1p(-s))
 
 
 def zebra_limit(params: TreeParams, p: float, cfg: SolverConfig = LIMIT_CONFIG) -> float:
     """Depth limit of the alternating-path probability from the root.
 
-    Returns exactly 0 when k^2 p (1-p) <= 1 without iterating. Otherwise the
-    pair recursion's even-level limit a is the largest fixed point of
-    a -> F(G(a)), G(a) = 1 - (1 - q a)^k, F(b) = 1 - (1 - p b)^k, a two-type
-    Galton-Watson generating map. It is increasing and concave, so Newton's
-    method on h(a) = F(G(a)) - a falls monotonically from a = 1 onto the fixed
-    point. The solve stops when a Newton step moves a by at most cfg.tol * a,
-    so cfg.tol bounds the relative step on a, and cfg.max_iter (--max-iter)
-    counts Newton steps. h is evaluated without cancellation (see
-    `_zebra_gap`) from k^2 p (1-p) - 1 computed exactly, so the result keeps
-    full float accuracy as p approaches either root of k^2 p (1-p) = 1. The
-    returned root value is 1 - (1 - (p G(a) + q a))^d over the root degree d.
+    The pair recursion's even-level value tends to a, `_even_level_limit` with
+    q = 1 - p, whose Newton steps cfg.max_iter (--max-iter) counts. Returns the
+    root value 1 - (1 - (p G(a) + q a))^d over the root degree d, exactly 0 when
+    k^2 p (1-p) <= 1; a failed solve carries the root value of its last iterate.
     """
     check_probability(p)
-    k = params.k
-    num, den = p.as_integer_ratio()
-    excess_num = k * k * num * (den - num) - den * den
-    if excess_num <= 0:
-        return 0.0
-    excess = excess_num / (den * den)  # k^2 p q - 1, rounded once
-    q = 1.0 - p
-    a = 1.0
-    for _ in range(cfg.max_iter):
-        gap, slope = _zebra_gap(k, p, q, excess, a)
-        a_next = a - gap / slope
-        step = a - a_next
-        if step <= cfg.tol * a_next:
-            return _zebra_root(params, p, q, min(a, a_next))
-        a = a_next
-    raise NonConvergenceError(
-        f"zebra limit not within tol={cfg.tol} after {cfg.max_iter} iterations",
-        _zebra_root(params, p, q, a), cfg.max_iter, step,
-    )
+    try:
+        a = _even_level_limit(params.k, p, True, cfg)
+    except NonConvergenceError as err:
+        err.last_value = _zebra_root(params, p, err.last_value)
+        raise
+    return _zebra_root(params, p, a)
 
 
 def zebra_via_relation(

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from itertools import compress
 
 from .params import TreeParams
-from .rng import _GOLDEN, _MASK, ROOT_KEY
+from .rng import _GOLDEN, _MASK, ROOT_KEY, mix64
 
 #: Trials searched together; a longer chunk runs in several batches. An
 #: existence search advances every trial of a batch in lockstep, so a batch
@@ -271,6 +271,14 @@ def zebra_counts(params: TreeParams, p: float, n: int, bases: Sequence[int]) -> 
             store[1].extend(compress(owners, wanted))
             store[2].extend(compress(flags, wanted))
     return counts
+
+
+def trial_bases(seed: int, first: int, last: int) -> list[int]:
+    """rng.TrialStream(seed, t).base for the trials t = first .. last-1, in one step."""
+    start = mix64(seed & _MASK)
+    words = _lane_bytes(*((start + (t + 1) * _GOLDEN) & _MASK for t in range(first, last)))
+    mixed = mix_lanes(_int(words), lane_mask(last - first))
+    return lane_keys(mixed.to_bytes(len(words), "little")).tolist()
 
 
 @functools.lru_cache(maxsize=1)

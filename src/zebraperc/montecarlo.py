@@ -81,8 +81,8 @@ class Estimate(namedtuple("Estimate", "mean stderr ci95_low ci95_high trials see
     __slots__ = ()
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Score interval for a Bernoulli proportion; well behaved near 0 and 1.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% score interval for a Bernoulli proportion; well behaved near 0 and 1.
 
     The interval always contains the point estimate successes / trials. Its
     lower end is exactly 0 when successes == 0 and its upper end exactly 1
@@ -92,9 +92,9 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = trials
     phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
+    denom = 1.0 + Z95 * Z95 / n
+    center = (phat + Z95 * Z95 / (2.0 * n)) / denom
+    half = (Z95 / denom) * math.sqrt(phat * (1.0 - phat) / n + Z95 * Z95 / (4.0 * n * n))
     low = 0.0 if successes == 0 else max(0.0, min(phat, center - half))
     high = 1.0 if successes == n else min(1.0, max(phat, center + half))
     return low, high
@@ -136,8 +136,7 @@ def chunk_bases(seed: int, start: int, stop: int):
     from . import kernel
 
     for first in range(start, stop, kernel.TRIAL_BATCH):
-        last = min(first + kernel.TRIAL_BATCH, stop)
-        yield [TrialStream(seed, t).base for t in range(first, last)]
+        yield kernel.trial_bases(seed, first, min(first + kernel.TRIAL_BATCH, stop))
 
 
 def _chunk(args) -> tuple[int, int]:
@@ -375,19 +374,14 @@ def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]
 DP_THRESHOLD = 1e-6
 
 
-def find_critical_dp(
-    params: TreeParams,
-    side: Side,
-    tol: float = BISECTION_TOL,
-    threshold: float = DP_THRESHOLD,
-) -> float:
+def find_critical_dp(params: TreeParams, side: Side, tol: float = BISECTION_TOL) -> float:
     """Locate one zebra-percolation threshold by bisecting the depth limit.
 
-    The indicator is 'zebra_limit > threshold'; the limit converges at every
+    The indicator is 'zebra_limit > DP_THRESHOLD'; the limit converges at every
     p, however close to a threshold. Raises NoBracket when the indicator does
     not change over the initial bracket (k = 2).
     """
-    return _bisect_indicator(params, side, lambda p: zebra_limit(params, p) > threshold, tol)
+    return _bisect_indicator(params, side, lambda p: zebra_limit(params, p) > DP_THRESHOLD, tol)
 
 
 def mc_indicator_threshold(params: TreeParams, depth: int) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zebraperc import (
+    FIXED_POINT_CONFIG,
     NonConvergenceError,
     RootMode,
     SolverConfig,
@@ -24,6 +25,7 @@ from zebraperc import (
     zebra_limit,
     zebra_via_relation,
 )
+from zebraperc.analytic import _even_level_limit
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -119,10 +121,18 @@ class TestThetaFixedPoint:
 
     def test_accurate_just_above_criticality(self):
         # frozen: the largest root at the double nearest each p, in 50-digit
-        # mpmath; for k = 2 it equals (2p - 1) / p^2 evaluated exactly.
+        # mpmath; for k = 2 it equals (2p - 1) / p^2 evaluated exactly. The
+        # k = 4, 5, 6 roots have no closed form: Newton's method from 1 on
+        # 1 - (1 - p x)^k - x in 50-digit mpmath, rounded to the nearest double.
         for k, p, expected in (
             (2, 0.500001, 7.99996800032604e-06),
             (3, 0.3333343333333333, 8.99995499977267e-06),
+            (4, 0.25001, 0.00010666002996894663),
+            (4, 0.250001, 1.0666600296350132e-05),
+            (5, 0.20001000000000002, 0.00012499062558616727),
+            (5, 0.200001, 1.2499906250737211e-05),
+            (6, 0.16667666666666667, 0.00014398732893767415),
+            (6, 0.16666766666666666, 1.4399873280818898e-05),
         ):
             value = theta_fixed_point(TreeParams(k), p)
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -316,6 +326,20 @@ class TestZebraLimit:
                 p = math.nextafter(p, 1.0)
             assert 0.0 < zebra_limit(TreeParams(k), p) < 1e-12
             assert zebra_limit(TreeParams(k), math.nextafter(p, 0.0)) == 0.0
+
+
+class TestEvenLevelLimit:
+    def test_zebra_below_the_relation(self):
+        # Jensen: the even-level limit of alternating paths never exceeds
+        # theta_{k^2}'s branch value at p (1-p)
+        positive = 0
+        for k in (3, 4, 5, 8):
+            for j in range(1, 200):
+                p = j / 200
+                a = _even_level_limit(k, p, True, FIXED_POINT_CONFIG)
+                assert a <= theta_branch_fixed_point(k * k, p * (1 - p)), (k, p)
+                positive += a > 0.0
+        assert positive == 698
 
 
 class TestZebraViaRelation:

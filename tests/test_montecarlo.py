@@ -288,6 +288,19 @@ class TestBruteForce:
             [c.bit_count() == h for c in codes] for h in range(bits + 1)]
 
 
+class TestChunkBases:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("start,stop", [
+        (0, 1024), (1000, 1003), (5, 6),
+        (1000, 1000 + kernel.TRIAL_BATCH + 3),  # across a batch boundary
+    ])
+    def test_words_are_the_trial_stream_bases(self, seed, start, stop):
+        batches = list(chunk_bases(seed, start, stop))
+        assert all(len(bases) == kernel.TRIAL_BATCH for bases in batches[:-1])
+        assert [w for bases in batches for w in bases] == [
+            TrialStream(seed, t).base for t in range(start, stop)]
+
+
 class TestTransformEquivalence:
     @pytest.mark.parametrize("params,m", [(P2, 2), (P2, 3), (P3, 2)])
     def test_sampled_trials_hold(self, params, m):
