@@ -22,7 +22,7 @@ _EXPORTS = {
         "zebra_limit", "zebra_via_relation",
     ),
     "montecarlo": (
-        "Estimate", "EventKind", "EventSpec", "NoBracketError", "Side",
+        "Estimate", "EventKind", "EventSpec", "NoBracketError",
         "brute_force_probability", "estimate_event", "find_critical_dp", "find_critical_mc",
         "open_ray", "sample_sigma", "wilson_interval", "zebra_count", "zebra_ray",
     ),

@@ -176,16 +176,25 @@ def theta_branch_fixed_point(k: int, p: float, cfg: SolverConfig = FIXED_POINT_C
     F is increasing, so F(F(x)) has the same fixed points: this is
     `_even_level_limit` with q = p, and cfg.max_iter (--max-iter) counts its
     Newton steps on F(F(x)). cfg.tol bounds the relative (and, as x <= 1, the
-    absolute) error. Exactly 0 for p <= 1/k and 1 for p = 1, without iterating.
+    absolute) error. Exactly 0 when k p <= 1 for the exact value of the double
+    p, and 1 for p = 1, without iterating.
     """
     check_probability(p)
     if k < 2:
         raise ValueError(f"branching order k must be >= 2, got {k}")
-    if p * k <= 1.0:
-        return 0.0
     if p == 1.0:
         return 1.0
     return _even_level_limit(k, p, False, cfg)
+
+
+def _at_root(root, solve, *args) -> float:
+    """root(solve(*args)); a failed solve carries the root value of its last iterate."""
+    try:
+        value = solve(*args)
+    except NonConvergenceError as err:
+        err.last_value = root(err.last_value)
+        raise
+    return root(value)
 
 
 def theta_fixed_point(
@@ -195,12 +204,13 @@ def theta_fixed_point(
 
     Solves the branch equation with exponent k, then applies the root-degree
     correction: the rooted-k mode reproduces the branch value, the full-Cayley
-    mode uses exponent k+1 at the root.
+    mode uses exponent k+1 at the root. A failed solve carries the root value
+    of its last iterate.
     """
-    branch = theta_branch_fixed_point(params.k, p, cfg)
-    if branch in (0.0, 1.0):
-        return branch
-    return -math.expm1(params.root_degree * math.log1p(-p * branch))
+    def root(x: float) -> float:
+        return x if x in (0.0, 1.0) else -math.expm1(params.root_degree * math.log1p(-p * x))
+
+    return _at_root(root, theta_branch_fixed_point, params.k, p, cfg)
 
 
 def theta_closed_form(k: int, p: float) -> float:
@@ -272,12 +282,7 @@ def zebra_limit(params: TreeParams, p: float, cfg: SolverConfig = LIMIT_CONFIG) 
     k^2 p (1-p) <= 1; a failed solve carries the root value of its last iterate.
     """
     check_probability(p)
-    try:
-        a = _even_level_limit(params.k, p, True, cfg)
-    except NonConvergenceError as err:
-        err.last_value = _zebra_root(params, p, err.last_value)
-        raise
-    return _zebra_root(params, p, a)
+    return _at_root(lambda a: _zebra_root(params, p, a), _even_level_limit, params.k, p, True, cfg)
 
 
 def zebra_via_relation(

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from collections import namedtuple
-from functools import partial
 
 from . import analytic
 from .analytic import NonConvergenceError, UnsupportedOrderError
@@ -347,7 +346,8 @@ CRITICAL_HEADER = "k,mode,side,value,reference,abs_gap"
 
 
 def _critical_rows(params: TreeParams, rc: dict):
-    """The rows of `critical`, each located when it is asked for."""
+    """The rows of `critical`. Both zebra thresholds are located before the first
+    row, so a run that fails on either side writes nothing."""
     mode = rc["mode"]
     if mode == "standard":
         value = analytic.standard_critical(params)
@@ -356,15 +356,14 @@ def _critical_rows(params: TreeParams, rc: dict):
     from . import montecarlo
 
     if mode == "zebra-dp":
-        locate = partial(montecarlo.find_critical_dp, params, tol=_tol(rc, BISECTION_TOL))
+        located = montecarlo.find_critical_dp(params, tol=_tol(rc, BISECTION_TOL))
     else:
-        locate = partial(montecarlo.find_critical_mc, params, tol=_tol(rc, MC_BISECTION_TOL),
-                         depth=_check_int(rc, "depth", 1), trials=_check_int(rc, "trials", 1),
-                         seed=_check_int(rc, "seed", 0), workers=_workers_from_env())
-    pair = analytic.zebra_critical_pair(params)
-    for side, ref in ((montecarlo.Side.LOWER, pair.p_low), (montecarlo.Side.UPPER, pair.p_high)):
-        located = locate(side)
-        yield f"{params.k},{mode},{side.value},{_fmt(located)},{_fmt(ref)},{_fmt(abs(located - ref))}"
+        located = montecarlo.find_critical_mc(
+            params, tol=_tol(rc, MC_BISECTION_TOL), depth=_check_int(rc, "depth", 1),
+            trials=_check_int(rc, "trials", 1), seed=_check_int(rc, "seed", 0),
+            workers=_workers_from_env())
+    for side, value, ref in zip(("lower", "upper"), located, analytic.zebra_critical_pair(params)):
+        yield f"{params.k},{mode},{side},{_fmt(value)},{_fmt(ref)},{_fmt(abs(value - ref))}"
 
 
 def cmd_critical(args: argparse.Namespace) -> int:

@@ -13,6 +13,7 @@ and p_c2, so a counting estimate must fit a budget of expected lanes.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import itertools
@@ -21,7 +22,7 @@ import os
 from collections import namedtuple
 
 from . import tree
-from .analytic import zebra_limit
+from .analytic import CriticalPair, zebra_limit
 from .params import (
     BISECTION_TOL,
     MC_BISECTION_TOL,
@@ -68,11 +69,6 @@ def zebra_ray(depth: int) -> EventSpec:
 
 def zebra_count(depth: int) -> EventSpec:
     return EventSpec(EventKind.ZEBRA_COUNT, depth)
-
-
-class Side(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 class Estimate(namedtuple("Estimate", "mean stderr ci95_low ci95_high trials seed")):
@@ -201,6 +197,20 @@ def _pool_class():
     return globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
 
 
+@contextlib.contextmanager
+def _chunk_map(workers: int, trials: int, given=None):
+    """The map for an estimate's chunks: `given`, the builtin map for one process,
+    else the map of a pool of min(workers, trials) processes, shut down on exit."""
+    size = min(_resolve_workers(workers), trials)
+    if given is not None:
+        yield given
+    elif size <= 1:
+        yield map
+    else:
+        with _pool_class()(max_workers=size) as pool:
+            yield pool.map
+
+
 def estimate_event(
     params: TreeParams,
     p: float,
@@ -208,16 +218,16 @@ def estimate_event(
     trials: int,
     seed: int,
     workers: int = 1,
-    executor=None,
+    chunk_map=None,
 ) -> Estimate:
     """Hit rate with a Wilson 95% interval, or for the counting event mean X_n with a normal one.
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
-    wall time. With more than one worker the chunks run on `executor`, an
-    open process pool of at least `workers` processes, or else on a pool
-    started for this call. A counting estimate that expects more than
-    MAX_COUNT_LANES lanes raises TooLargeError before any bond is drawn.
+    wall time. The chunks, one per worker, run through `chunk_map` (the map of
+    a pool the caller holds open) or else through _chunk_map's. A counting
+    estimate that expects more than MAX_COUNT_LANES lanes raises
+    TooLargeError before any bond is drawn.
     """
     check_probability(p)
     if trials < 1:
@@ -231,13 +241,8 @@ def estimate_event(
     step = (trials + workers - 1) // workers
     jobs = [(params, p, event, seed, start, min(start + step, trials))
             for start in range(0, trials, step)]
-    if workers <= 1:
-        parts = [_chunk(jobs[0])]
-    elif executor is not None:
-        parts = list(executor.map(_chunk, jobs))
-    else:
-        with _pool_class()(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk, jobs))
+    with _chunk_map(workers, trials, chunk_map) as run:
+        parts = list(run(_chunk, jobs))
     total = sum(part[0] for part in parts)
     total_sq = sum(part[1] for part in parts)
     mean = total / trials
@@ -374,14 +379,14 @@ def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]
 DP_THRESHOLD = 1e-6
 
 
-def find_critical_dp(params: TreeParams, side: Side, tol: float = BISECTION_TOL) -> float:
-    """Locate one zebra-percolation threshold by bisecting the depth limit.
+def find_critical_dp(params: TreeParams, tol: float = BISECTION_TOL) -> CriticalPair:
+    """Locate both zebra-percolation thresholds by bisecting the depth limit.
 
     The indicator is 'zebra_limit > DP_THRESHOLD'; the limit converges at every
     p, however close to a threshold. Raises NoBracket when the indicator does
-    not change over the initial bracket (k = 2).
+    not change over a side's initial bracket (k = 2).
     """
-    return _bisect_indicator(params, side, lambda p: zebra_limit(params, p) > DP_THRESHOLD, tol)
+    return _bisect_indicator(params, lambda p, _: zebra_limit(params, p) > DP_THRESHOLD, tol)
 
 
 def mc_indicator_threshold(params: TreeParams, depth: int) -> float:
@@ -396,57 +401,44 @@ def mc_indicator_threshold(params: TreeParams, depth: int) -> float:
 
 def find_critical_mc(
     params: TreeParams,
-    side: Side,
     depth: int,
     trials: int,
     seed: int,
     tol: float = MC_BISECTION_TOL,
     workers: int = 1,
-) -> float:
+) -> CriticalPair:
     """Monte-Carlo counterpart of find_critical_dp, a finite-depth proxy.
 
     Bisects the indicator 'estimated P(alternating ray to `depth`) above the
-    depth-dependent detection level'. The located point sits slightly inside
-    the true interval, with bias shrinking as the probe depth grows. Every
-    indicator evaluation uses its own sub-seed, so the search is reproducible.
-    With more than one worker, one process pool serves every probe and is
-    shut down when the search returns.
+    depth-dependent detection level'. The located points sit slightly inside
+    the true interval, with bias shrinking as the probe depth grows. Probe i
+    of each side draws from sub-seed derive_seed(seed, i), so the search is
+    reproducible. With more than one worker, one process pool serves every
+    probe of both sides and is shut down when the search returns.
     """
     event = zebra_ray(depth)
     tau = mc_indicator_threshold(params, depth)
-    counter = itertools.count()
+    with _chunk_map(workers, trials) as run:
+        return _bisect_indicator(params, lambda p, probe: estimate_event(
+            params, p, event, trials, derive_seed(seed, probe), workers, run,
+        ).mean > tau, tol)
 
-    def bisect(executor) -> float:
-        def positive(p: float) -> bool:
-            est = estimate_event(
-                params, p, event, trials, derive_seed(seed, next(counter)),
-                workers=workers, executor=executor,
+
+def _bisect_indicator(params: TreeParams, positive, tol: float) -> CriticalPair:
+    """Bisect positive(p, probe) on (0, 1/2), then on (1/2, 1); probe counts from 0 on each."""
+    located = []
+    for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
+        probes = itertools.count()
+        lo_pos, hi_pos = positive(lo, next(probes)), positive(hi, next(probes))
+        if lo_pos == hi_pos:
+            raise NoBracketError(
+                f"no zebra-percolation transition inside ({lo}, {hi}) for k={params.k}"
             )
-            return est.mean > tau
-
-        return _bisect_indicator(params, side, positive, tol)
-
-    pool_size = min(_resolve_workers(workers), trials)
-    if pool_size <= 1:
-        return bisect(None)
-    with _pool_class()(max_workers=pool_size) as executor:
-        return bisect(executor)
-
-
-def _bisect_indicator(params: TreeParams, side: Side, positive, tol: float) -> float:
-    if side is Side.LOWER:
-        lo, hi = 0.0, 0.5
-    else:
-        lo, hi = 0.5, 1.0
-    lo_pos, hi_pos = positive(lo), positive(hi)
-    if lo_pos == hi_pos:
-        raise NoBracketError(
-            f"no zebra-percolation transition inside ({lo}, {hi}) for k={params.k}"
-        )
-    # the midpoint test also ends a tol below the spacing of floats at lo and hi
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if positive(mid) == hi_pos:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        # the midpoint test also ends a tol below the spacing of floats at lo and hi
+        while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if positive(mid, next(probes)) == hi_pos:
+                hi = mid
+            else:
+                lo = mid
+        located.append(0.5 * (lo + hi))
+    return CriticalPair(*located)

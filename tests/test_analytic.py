@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zebraperc import (
     FIXED_POINT_CONFIG,
@@ -106,11 +106,14 @@ class TestThetaFixedPoint:
             assert residual < 10 * 1e-12
 
     @given(orders, probs)
+    @example(5, 0.2)  # the double 0.2 exceeds 1/5
+    @example(3, 1 / 3)  # the double 1/3 falls short of 1/3
     @settings(max_examples=60)
     def test_range_and_subcritical_zero(self, k, p):
         value = theta_fixed_point(TreeParams(k), p)
         assert 0.0 <= value <= 1.0
-        assert (value == 0.0) == (p * k <= 1.0)
+        num, den = p.as_integer_ratio()  # the exact value of the double p
+        assert (value == 0.0) == (k * num <= den)
 
     def test_full_cayley_root_correction(self):
         k, p = 3, 0.6
@@ -131,6 +134,7 @@ class TestThetaFixedPoint:
             (4, 0.250001, 1.0666600296350132e-05),
             (5, 0.20001000000000002, 0.00012499062558616727),
             (5, 0.200001, 1.2499906250737211e-05),
+            (5, 0.2, 1.3877787807814457e-16),
             (6, 0.16667666666666667, 0.00014398732893767415),
             (6, 0.16666766666666666, 1.4399873280818898e-05),
         ):

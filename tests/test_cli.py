@@ -118,6 +118,12 @@ class TestExitCodes:
         assert out == ""
         assert "tol" in err
         assert ", 2 iterations, last step " in err.splitlines()[-1]
+        # a failed solve reports the root value of its last iterate in both root modes
+        assert "(last value 0.9876543210234453, " in err.splitlines()[-1]
+        code, out, err = run_cli(capsys, ["eval", "--k", "2", "--full-cayley", "--p", "0.9",
+                                          "--method", "fixed-point", "--max-iter", "2"])
+        assert (code, out) == (3, "")
+        assert "(last value 0.9986282578934823, " in err.splitlines()[-1]
 
     def test_unsupported_order(self, capsys):
         code, _, _ = run_cli(capsys, ["eval", "--k", "5", "--p", "0.5",
@@ -606,17 +612,27 @@ class TestStartup:
 
 
 class TestThreadEnvironment:
+    #: Both thresholds of one bisection, one process pool at 2 threads.
+    CRITICAL_MC = ("k,mode,side,value,reference,abs_gap\n"
+                   "3,zebra-mc,lower,0.216796875,0.12732200375,0.08947487125\n"
+                   "3,zebra-mc,upper,0.771484375,0.87267799625,0.10119362125\n")
+
     def test_thread_env_does_not_change_output(self, tmp_path):
-        argv = [sys.executable, "-m", "zebraperc", "sweep", "--k", "3", "--methods",
-                "mc", "--event", "zebra", "--depth", "8", "--pmin", "0.2",
-                "--pmax", "0.8", "--steps", "4", "--trials", "1000", "--seed", "11"]
-        outputs = set()
-        for threads in ("1", "2"):
-            proc = subprocess.run(argv, capture_output=True, text=True,
-                                  env=child_env(ZEBRA_PERC_THREADS=threads))
-            assert proc.returncode == 0, proc.stderr
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1
+        sweep = ["sweep", "--k", "3", "--methods", "mc", "--event", "zebra", "--depth", "8",
+                 "--pmin", "0.2", "--pmax", "0.8", "--steps", "4", "--trials", "1000",
+                 "--seed", "11"]
+        critical = ["critical", "--k", "3", "--mode", "zebra-mc", "--depth", "8",
+                    "--trials", "300", "--seed", "5"]
+        for argv in (sweep, critical):
+            outputs = set()
+            for threads in ("1", "2"):
+                proc = subprocess.run([sys.executable, "-m", "zebraperc", *argv],
+                                      capture_output=True, text=True,
+                                      env=child_env(ZEBRA_PERC_THREADS=threads))
+                assert proc.returncode == 0, proc.stderr
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1
+        assert outputs == {self.CRITICAL_MC}
 
     @pytest.mark.parametrize("raw,workers", [(None, 1), ("0", 0), ("1", 1), ("3", 3)])
     def test_thread_env_passes_the_count_on(self, monkeypatch, raw, workers):

@@ -268,7 +268,8 @@ class TestOnePoolPerBisection:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool, raising=False)
         tol = 1 / 32
         params = TreeParams(3)
-        located = find_critical_mc(params, montecarlo.Side.LOWER, 8, 300, 5, tol, workers=2)
+        located = find_critical_mc(params, 8, 300, 5, tol, workers=2)
         assert starts == [2]
-        assert located == find_critical_mc(params, montecarlo.Side.LOWER, 8, 300, 5, tol, workers=1)
+        assert located == find_critical_mc(params, 8, 300, 5, tol, workers=1)
         assert starts == [2]
+        assert 0.0 < located.p_low < 0.5 < located.p_high < 1.0

@@ -16,7 +16,6 @@ from zebraperc.montecarlo import (
     EventKind,
     EventSpec,
     NoBracketError,
-    Side,
     brute_force_probability,
     chunk_bases,
     estimate_event,
@@ -323,23 +322,36 @@ class TestCriticalFinders:
         for k in (3, 4):
             params = TreeParams(k)
             pair = zebra_critical_pair(params)
-            assert find_critical_dp(params, Side.LOWER, 1e-3) == pytest.approx(
-                pair.p_low, abs=0.01
-            )
-            assert find_critical_dp(params, Side.UPPER, 1e-3) == pytest.approx(
-                pair.p_high, abs=0.01
-            )
+            located = find_critical_dp(params, 1e-3)
+            assert located.p_low == pytest.approx(pair.p_low, abs=0.01)
+            assert located.p_high == pytest.approx(pair.p_high, abs=0.01)
 
     def test_dp_stops_at_float_resolution(self):
-        # a tolerance below the spacing of floats near the threshold ends the search
+        # a tolerance below the spacing of floats near the thresholds ends the search
         pair = zebra_critical_pair(P3)
-        located = find_critical_dp(P3, Side.LOWER, 1e-300)
-        assert located == pytest.approx(pair.p_low, abs=1e-6)
+        located = find_critical_dp(P3, 1e-300)
+        assert located.p_low == pytest.approx(pair.p_low, abs=1e-6)
+        assert located.p_high == pytest.approx(pair.p_high, abs=1e-6)
 
     def test_dp_no_bracket_for_k2(self):
-        for side in Side:
-            with pytest.raises(NoBracketError):
-                find_critical_dp(P2, side)
+        with pytest.raises(NoBracketError, match=r"inside \(0.0, 0.5\) for k=2"):
+            find_critical_dp(P2)
+
+    def test_probes_count_from_zero_on_each_side(self):
+        calls = []
+
+        def positive(p, probe):
+            calls.append((p, probe))
+            return 0.25 <= p <= 0.75
+
+        located = montecarlo._bisect_indicator(P3, positive, 1 / 8)
+        assert located == (0.1875, 0.8125)
+        assert calls == [(0.0, 0), (0.5, 1), (0.25, 2), (0.125, 3),
+                         (0.5, 0), (1.0, 1), (0.75, 2), (0.875, 3)]
+
+    def test_upper_side_without_a_bracket(self):
+        with pytest.raises(NoBracketError, match=r"inside \(0.5, 1.0\) for k=3"):
+            montecarlo._bisect_indicator(P3, lambda p, _: p >= 0.25, 1 / 8)
 
     def test_mc_threshold_rule(self):
         assert mc_indicator_threshold(P2, 16) == pytest.approx(0.5, abs=1e-12)
@@ -347,14 +359,13 @@ class TestCriticalFinders:
 
     def test_mc_smoke(self):
         pair = zebra_critical_pair(P3)
-        located = find_critical_mc(P3, Side.LOWER, 12, 2000, 77)
-        assert located == pytest.approx(pair.p_low, abs=0.08)
+        located = find_critical_mc(P3, 12, 2000, 77)
+        assert located.p_low == pytest.approx(pair.p_low, abs=0.08)
+        assert located.p_high == pytest.approx(pair.p_high, abs=0.08)
 
     def test_mc_no_bracket_for_k2(self):
-        with pytest.raises(NoBracketError):
-            find_critical_mc(P2, Side.LOWER, 12, 2000, 77)
-        with pytest.raises(NoBracketError):
-            find_critical_mc(P2, Side.UPPER, 12, 2000, 77)
+        with pytest.raises(NoBracketError, match=r"inside \(0.0, 0.5\) for k=2"):
+            find_critical_mc(P2, 12, 2000, 77)
 
 
 class TestEventSpec:
