@@ -230,7 +230,8 @@ def _writer(path: str | None):
 # ---------------------------------------------------------------------------
 # point evaluation (eval is a sweep of one point)
 
-def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> CurvePoint:
+def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
+                    chunk_map=None) -> CurvePoint:
     depth = trials = seed = 0
     if method == "closed-form":
         if params.root_mode is not RootMode.ROOTED_K:
@@ -255,7 +256,8 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict) -> Curv
         if method == "mc":
             trials = _check_int(rc, "trials", 1)
             seed = _check_int(rc, "seed", 0)
-            est = montecarlo.estimate_event(params, p, event, trials, seed, _workers_from_env())
+            est = montecarlo.estimate_event(params, p, event, trials, seed, _workers_from_env(),
+                                            chunk_map)
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
         value = montecarlo.brute_force_probability(params, p, event)
@@ -279,12 +281,35 @@ def _write_rows(output: str | None, header: str | None, rows) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _shared_chunk_map():
+    """One chunk map for every mc point of a run. The first estimate opens
+    montecarlo._chunk_map for as many processes as it has chunks, a pool only
+    when there are several; the later ones, with as many chunks, reuse it.
+    Opening it there keeps each point's own option checks first, and a run
+    without mc points imports nothing for it."""
+    with contextlib.ExitStack() as stack:
+        opened = None
+
+        def run(fn, jobs):
+            nonlocal opened
+            if opened is None:
+                from . import montecarlo
+
+                opened = stack.enter_context(montecarlo._chunk_map(len(jobs), len(jobs)))
+            return opened(fn, jobs)
+
+        yield run
+
+
 def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
     """Evaluate every method at every p, in that order, and write one record each."""
-    points = (_evaluate_point(params, p, method, rc) for p in ps for method in methods)
-    if rc["format"] == "json":
-        return _write_rows(rc["output"], None, (point.json_line() for point in points))
-    return _write_rows(rc["output"], CSV_HEADER, (point.csv_row() for point in points))
+    with _shared_chunk_map() as chunk_map:
+        points = (_evaluate_point(params, p, method, rc, chunk_map)
+                  for p in ps for method in methods)
+        if rc["format"] == "json":
+            return _write_rows(rc["output"], None, (point.json_line() for point in points))
+        return _write_rows(rc["output"], CSV_HEADER, (point.csv_row() for point in points))
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def _wanted(flags: bytes, states: bytes, arity: int) -> bytes:
 
 
 def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
-             alternate: bool) -> set[int]:
+             alternate: bool, stop: tuple[int, int] | None = None) -> set[int]:
     """Base words of the trials with a descending path of n edges that follows the rule.
 
     With alternate=False every edge of the path is open (an open ray); with
@@ -178,10 +178,17 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     lane, of every trial still searching. The hot lane moves to its first
     wanted child, picked with byte masks, and the other wanted children go on
     the trial's stack, deepest on top. A trial whose hot lane has no wanted
-    child resumes from its stack, and a trial stops at its first path.
+    child resumes from its stack, and a trial stops at its first path; one
+    whose stack is empty as well is a miss.
+
+    With stop = (hits, misses) the search ends after the first round by which
+    at least `hits` trials have hit or at least `misses` have missed, and the
+    hits so far, a subset of the full result, are returned.
     """
     k, root_degree = params.k, params.root_degree
     rounds = Rounds(p, len(bases) * max(k, root_degree), (root_degree, k))
+    stop_hits, stop_misses = stop or (len(bases) + 1, len(bases) + 1)
+    misses = 0
     hit: set[int] = set()
     stacks: defaultdict[int, list] = defaultdict(list)
     owners = array("Q", bases)
@@ -230,6 +237,10 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
                 owners.append(owner)
                 states.append(state)
                 left.append(parent_left - 1)
+            else:
+                misses += 1
+        if len(hit) >= stop_hits or misses >= stop_misses:
+            break
         arity = k
     return hit
 

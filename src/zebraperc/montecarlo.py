@@ -9,10 +9,15 @@ of every event with integer merges, so estimates are identical for any worker
 count, any batch size and any execution order. The work of a search grows
 about linearly in depth, but the zebra cone grows geometrically between p_c1
 and p_c2, so a counting estimate must fit a budget of expected lanes.
+
+A bisection probe needs one bit, whether the estimate exceeds a level, so it
+runs its trials in one process and stops as soon as their count settles that
+bit; find_critical_mc runs its two sides in parallel instead of its chunks.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import enum
 import functools
@@ -198,10 +203,10 @@ def _pool_class():
 
 
 @contextlib.contextmanager
-def _chunk_map(workers: int, trials: int, given=None):
-    """The map for an estimate's chunks: `given`, the builtin map for one process,
-    else the map of a pool of min(workers, trials) processes, shut down on exit."""
-    size = min(_resolve_workers(workers), trials)
+def _chunk_map(workers: int, jobs: int, given=None):
+    """The map for `jobs` independent jobs: `given`, the builtin map for one process,
+    else the map of a pool of min(workers, jobs) processes, shut down on exit."""
+    size = min(_resolve_workers(workers), jobs)
     if given is not None:
         yield given
     elif size <= 1:
@@ -241,7 +246,7 @@ def estimate_event(
     step = (trials + workers - 1) // workers
     jobs = [(params, p, event, seed, start, min(start + step, trials))
             for start in range(0, trials, step)]
-    with _chunk_map(workers, trials, chunk_map) as run:
+    with _chunk_map(workers, len(jobs), chunk_map) as run:
         parts = list(run(_chunk, jobs))
     total = sum(part[0] for part in parts)
     total_sq = sum(part[1] for part in parts)
@@ -379,6 +384,10 @@ def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]
 DP_THRESHOLD = 1e-6
 
 
+#: The two sides of p = 1/2, each holding one zebra threshold.
+SIDES = ((0.0, 0.5), (0.5, 1.0))
+
+
 def find_critical_dp(params: TreeParams, tol: float = BISECTION_TOL) -> CriticalPair:
     """Locate both zebra-percolation thresholds by bisecting the depth limit.
 
@@ -386,7 +395,10 @@ def find_critical_dp(params: TreeParams, tol: float = BISECTION_TOL) -> Critical
     p, however close to a threshold. Raises NoBracket when the indicator does
     not change over a side's initial bracket (k = 2).
     """
-    return _bisect_indicator(params, lambda p, _: zebra_limit(params, p) > DP_THRESHOLD, tol)
+    def positive(p, _):
+        return zebra_limit(params, p) > DP_THRESHOLD
+
+    return CriticalPair(*(_bisect_indicator(params, positive, lo, hi, tol) for lo, hi in SIDES))
 
 
 def mc_indicator_threshold(params: TreeParams, depth: int) -> float:
@@ -397,6 +409,36 @@ def mc_indicator_threshold(params: TreeParams, depth: int) -> float:
     depth is treated as supercritical.
     """
     return 6.0 / (depth * (1.0 - 1.0 / (params.k * params.k)))
+
+
+def _hits_needed(trials: int, tau: float) -> int:
+    """The least h with h / trials > tau in float arithmetic; trials + 1 when tau >= 1."""
+    return bisect.bisect_right(range(trials + 1), tau, key=lambda h: h / trials)
+
+
+def _rate_above(params: TreeParams, p: float, depth: int, trials: int, seed: int,
+                tau: float) -> bool:
+    """Whether estimate_event(params, p, zebra_ray(depth), trials, seed).mean > tau.
+
+    The mean exceeds tau exactly when at least _hits_needed(trials, tau) trials
+    hit, and falls short once more than trials minus that many miss. The
+    batches of chunk_bases run in order, each told the hits and misses still
+    lacking, so a batch stops at the round that settles the answer and the
+    batches after it are skipped.
+    """
+    from . import kernel
+
+    need = _hits_needed(trials, tau)
+    misses_left = trials - need + 1
+    hits = 0
+    for bases in chunk_bases(seed, 0, trials):
+        found = len(kernel.ray_hits(params, p, depth, bases, alternate=True,
+                                    stop=(need - hits, misses_left)))
+        hits += found
+        misses_left -= len(bases) - found  # an overcount only in a batch that stopped
+        if hits >= need or misses_left <= 0:
+            break
+    return hits >= need
 
 
 def find_critical_mc(
@@ -412,33 +454,42 @@ def find_critical_mc(
     Bisects the indicator 'estimated P(alternating ray to `depth`) above the
     depth-dependent detection level'. The located points sit slightly inside
     the true interval, with bias shrinking as the probe depth grows. Probe i
-    of each side draws from sub-seed derive_seed(seed, i), so the search is
-    reproducible. With more than one worker, one process pool serves every
-    probe of both sides and is shut down when the search returns.
+    of each side draws from sub-seed derive_seed(seed, i), and _rate_above
+    decides it exactly, so the search is reproducible. A probe stops once its
+    answer is certain, so it runs all of its trials in one process: with more
+    than one worker the two sides run in a pool of two processes, shut down
+    when the search returns. A detection level of 1 or more, which no
+    estimate exceeds, raises NoBracketError before any bond is drawn.
     """
-    event = zebra_ray(depth)
     tau = mc_indicator_threshold(params, depth)
-    with _chunk_map(workers, trials) as run:
-        return _bisect_indicator(params, lambda p, probe: estimate_event(
-            params, p, event, trials, derive_seed(seed, probe), workers, run,
-        ).mean > tau, tol)
+    if tau >= 1.0:
+        raise NoBracketError(f"no zebra-percolation transition detectable at depth {depth} "
+                             f"for k={params.k}: the detection level {tau:.6g} is not below 1")
+    jobs = [(params, depth, trials, seed, tau, tol, side) for side in SIDES]
+    with _chunk_map(workers, len(jobs)) as run:
+        return CriticalPair(*run(_mc_side, jobs))
 
 
-def _bisect_indicator(params: TreeParams, positive, tol: float) -> CriticalPair:
-    """Bisect positive(p, probe) on (0, 1/2), then on (1/2, 1); probe counts from 0 on each."""
-    located = []
-    for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
-        probes = itertools.count()
-        lo_pos, hi_pos = positive(lo, next(probes)), positive(hi, next(probes))
-        if lo_pos == hi_pos:
-            raise NoBracketError(
-                f"no zebra-percolation transition inside ({lo}, {hi}) for k={params.k}"
-            )
-        # the midpoint test also ends a tol below the spacing of floats at lo and hi
-        while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-            if positive(mid, next(probes)) == hi_pos:
-                hi = mid
-            else:
-                lo = mid
-        located.append(0.5 * (lo + hi))
-    return CriticalPair(*located)
+def _mc_side(job) -> float:
+    """One side of find_critical_mc, all of its probes in this process."""
+    params, depth, trials, seed, tau, tol, (lo, hi) = job
+    return _bisect_indicator(params, lambda p, probe: _rate_above(
+        params, p, depth, trials, derive_seed(seed, probe), tau), lo, hi, tol)
+
+
+def _bisect_indicator(params: TreeParams, positive, lo: float, hi: float, tol: float) -> float:
+    """Bisect positive(p, probe) on (lo, hi), probe counting from 0; raises
+    NoBracketError when positive takes the same value at both ends."""
+    probes = itertools.count()
+    lo_pos, hi_pos = positive(lo, next(probes)), positive(hi, next(probes))
+    if lo_pos == hi_pos:
+        raise NoBracketError(
+            f"no zebra-percolation transition inside ({lo}, {hi}) for k={params.k}"
+        )
+    # the midpoint test also ends a tol below the spacing of floats at lo and hi
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if positive(mid, next(probes)) == hi_pos:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -194,6 +194,20 @@ class TestExitCodes:
         assert code == 5
         assert "k=2" in err
 
+    def test_detection_level_of_one_refused(self, capsys, monkeypatch):
+        # at depth 6 the level for k = 3 is 1.125: no estimate exceeds it, so no bond is drawn
+        from zebraperc import kernel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ray_hits called")
+
+        monkeypatch.setattr(kernel, "ray_hits", refuse)
+        code, out, err = run_cli(capsys, ["critical", "--mode", "zebra-mc", "--k", "3",
+                                          "--depth", "6"])
+        assert (code, out) == (5, "")
+        assert err.splitlines()[-1] == ("error: no zebra-percolation transition detectable at "
+                                        "depth 6 for k=3: the detection level 1.125 is not below 1")
+
     @pytest.mark.parametrize("mode", ["zebra-dp", "zebra-mc"])
     def test_no_bracket_writes_nothing(self, capsys, tmp_path, mode):
         argv = ["critical", "--k", "2", "--mode", mode, "--depth", "4", "--trials", "50"]
@@ -233,6 +247,29 @@ class TestSweep:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+    def test_one_pool_per_mc_sweep(self, capsys, monkeypatch):
+        from zebraperc import montecarlo
+
+        base = montecarlo._pool_class()
+        starts = []
+
+        class CountingPool(base):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool, raising=False)
+        argv = ["sweep", "--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200",
+                "--steps", "3"]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            outputs.append(out)
+        assert starts == [2]  # none at one thread, one for the three points at two
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -633,6 +670,30 @@ class TestThreadEnvironment:
                 outputs.add(proc.stdout)
             assert len(outputs) == 1
         assert outputs == {self.CRITICAL_MC}
+
+    # the two benchmark commands and a --full-cayley one, decided probe by probe
+    @pytest.mark.parametrize("argv,stdout", [
+        (["--k", "3", "--depth", "16", "--trials", "2000", "--seed", "3"],
+         "3,zebra-mc,lower,0.146484375,0.12732200375,0.01916237125\n"
+         "3,zebra-mc,upper,0.853515625,0.87267799625,0.01916237125\n"),
+        (["--k", "4", "--depth", "12", "--trials", "2000", "--seed", "3"],
+         "4,zebra-mc,lower,0.083984375,0.0669872981078,0.0169970768922\n"
+         "4,zebra-mc,upper,0.916015625,0.933012701892,0.0169970768922\n"),
+        (["--full-cayley", "--k", "3", "--depth", "10", "--trials", "700", "--seed", "41"],
+         "3,zebra-mc,lower,0.154296875,0.12732200375,0.02697487125\n"
+         "3,zebra-mc,upper,0.841796875,0.87267799625,0.03088112125\n"),
+    ], ids=["k3-depth16", "k4-depth12", "full-cayley-k3"])
+    def test_critical_mc_stdout_at_one_and_two_threads(self, argv, stdout):
+        # both runs at once: a 2-core machine has room for them side by side
+        procs = [subprocess.Popen([sys.executable, "-m", "zebraperc", "critical",
+                                   "--mode", "zebra-mc", *argv],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                  env=child_env(ZEBRA_PERC_THREADS=threads))
+                 for threads in ("1", "2")]
+        for proc in procs:
+            out, err = proc.communicate()
+            assert proc.returncode == 0, err
+            assert out == "k,mode,side,value,reference,abs_gap\n" + stdout
 
     @pytest.mark.parametrize("raw,workers", [(None, 1), ("0", 0), ("1", 1), ("3", 3)])
     def test_thread_env_passes_the_count_on(self, monkeypatch, raw, workers):

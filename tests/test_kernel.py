@@ -226,6 +226,30 @@ class TestAgainstRecursiveSearch:
             assert counts.get(bases[t], 0) == ref_zebra_count(params, p, n, TrialStream(2, t))
 
 
+class TestStoppedSearch:
+    @pytest.mark.parametrize("params,p", list(_cases()))
+    def test_stopped_hits_are_a_subset(self, params, p):
+        trials, n = 200, 8
+        bases = bases_of(9, trials)
+        never = trials + 1
+        for alternate in (False, True):
+            full = ray_hits(params, p, n, bases, alternate)
+            assert ray_hits(params, p, n, bases, alternate, (never, never)) == full
+            for hits in range(1, len(full) + 1, 7):
+                part = ray_hits(params, p, n, bases, alternate, (hits, never))
+                assert hits <= len(part) and part <= full
+            for misses in (1, 2, trials - len(full)):
+                assert ray_hits(params, p, n, bases, alternate, (never, misses)) <= full
+
+    def test_a_stop_ends_the_search_early(self):
+        # at p = 1/2 on k = 3 most trials hit; a stop at the first hit leaves most unfound
+        params, p, n = TreeParams(3), 0.5, 12
+        bases = bases_of(4, 300)
+        full = ray_hits(params, p, n, bases, True)
+        part = ray_hits(params, p, n, bases, True, (1, len(bases) + 1))
+        assert 1 <= len(part) < len(full) // 2
+
+
 class TestEstimatorBatches:
     TRIALS = TRIAL_BATCH + 3  # neither chunk of two workers is a whole batch either
 
@@ -256,7 +280,7 @@ class TestEstimatorBatches:
 
 
 class TestOnePoolPerBisection:
-    def test_one_pool_serves_every_probe(self, monkeypatch):
+    def test_one_pool_serves_both_sides(self, monkeypatch):
         base = montecarlo._pool_class()
         starts = []
 

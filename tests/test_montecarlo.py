@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -344,14 +345,15 @@ class TestCriticalFinders:
             calls.append((p, probe))
             return 0.25 <= p <= 0.75
 
-        located = montecarlo._bisect_indicator(P3, positive, 1 / 8)
-        assert located == (0.1875, 0.8125)
+        located = [montecarlo._bisect_indicator(P3, positive, lo, hi, 1 / 8)
+                   for lo, hi in montecarlo.SIDES]
+        assert located == [0.1875, 0.8125]
         assert calls == [(0.0, 0), (0.5, 1), (0.25, 2), (0.125, 3),
                          (0.5, 0), (1.0, 1), (0.75, 2), (0.875, 3)]
 
     def test_upper_side_without_a_bracket(self):
         with pytest.raises(NoBracketError, match=r"inside \(0.5, 1.0\) for k=3"):
-            montecarlo._bisect_indicator(P3, lambda p, _: p >= 0.25, 1 / 8)
+            montecarlo._bisect_indicator(P3, lambda p, _: p >= 0.25, 0.5, 1.0, 1 / 8)
 
     def test_mc_threshold_rule(self):
         assert mc_indicator_threshold(P2, 16) == pytest.approx(0.5, abs=1e-12)
@@ -366,6 +368,65 @@ class TestCriticalFinders:
     def test_mc_no_bracket_for_k2(self):
         with pytest.raises(NoBracketError, match=r"inside \(0.0, 0.5\) for k=2"):
             find_critical_mc(P2, 12, 2000, 77)
+
+    @pytest.mark.parametrize("params,depth,level", [(P3, 6, "1.125"), (P2, 8, "1")])
+    def test_mc_level_of_one_refused_before_any_bond(self, monkeypatch, params, depth, level):
+        # no estimate exceeds a detection level of 1, so no probe could be positive
+        def refuse(*args, **kwargs):
+            raise AssertionError("ray_hits called")
+
+        monkeypatch.setattr(kernel, "ray_hits", refuse)
+        assert mc_indicator_threshold(params, depth) >= 1.0
+        with pytest.raises(NoBracketError, match=rf"at depth {depth} for k={params.k}: "
+                                                 rf"the detection level {level} is not below 1"):
+            find_critical_mc(params, depth, 2000, 77, workers=2)
+
+
+def _estimate_means(params, p, depth, seed, counts):
+    """estimate_event(params, p, zebra_ray(depth), trials, seed).mean for each trials in counts.
+
+    The estimate is the hit count of trials 0 .. trials-1 over trials (see
+    test_kernel's TestEstimatorBatches), so one search over the longest
+    prefix gives every mean.
+    """
+    outcomes = []
+    for bases in chunk_bases(seed, 0, max(counts)):
+        hits = ray_hits(params, p, depth, bases, alternate=True)
+        outcomes += [base in hits for base in bases]
+    return {trials: sum(outcomes[:trials]) / trials for trials in counts}
+
+
+class TestExactDecision:
+    """A bisection probe stops once its count settles, with the full estimate's answer."""
+
+    def test_hits_needed_equals_a_scan(self):
+        levels = {mc_indicator_threshold(TreeParams(k), depth)
+                  for k in range(2, 9) for depth in range(1, 41)}
+        for trials in range(1, 3001):
+            rates = [h / trials for h in range(trials + 1)]
+            # each level and the rate h / trials at or just below it, exactly
+            taus = levels | {rates[min(math.floor(tau * trials), trials)] for tau in levels}
+            h = 0  # one upward scan: the least h with h / trials > tau, levels in order
+            for tau in sorted(taus):
+                while h <= trials and rates[h] <= tau:
+                    h += 1
+                assert montecarlo._hits_needed(trials, tau) == h, (trials, tau)
+
+    @pytest.mark.parametrize("depth", [7, 12])
+    @pytest.mark.parametrize("mode", list(RootMode))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_decision_equals_the_estimate(self, k, mode, depth):
+        params = TreeParams(k, mode)
+        tau = mc_indicator_threshold(params, depth)
+        pair = zebra_critical_pair(params)
+        counts = (1, 2, 999, 1025, 2049)  # around and across batches of kernel.TRIAL_BATCH
+        ps = (0.0, 0.05, pair.p_low - 0.01, pair.p_low + 0.01,
+              0.5, pair.p_high - 0.01, pair.p_high + 0.01, 1.0)
+        for i, p in enumerate(ps):
+            seed = (5, 41, 77)[i % 3]  # three seeds over the points of each tree
+            for trials, mean in _estimate_means(params, p, depth, seed, counts).items():
+                assert montecarlo._rate_above(params, p, depth, trials, seed,
+                                              tau) is (mean > tau), (p, trials)
 
 
 class TestEventSpec:
