@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from itertools import compress
 
 from .params import TreeParams
-from .rng import _GOLDEN, _MASK, ROOT_KEY, mix64
+from .rng import _GOLDEN, _MASK, _TO_UNIT, ROOT_KEY, mix64
 
 #: Trials searched together; a longer chunk runs in several batches. An
 #: existence search advances every trial of a batch in lockstep, so a batch
@@ -38,7 +38,6 @@ COUNT_LANES = 2048
 
 _LANE = 16  # bytes per lane
 _SWAP = sys.byteorder != "little"
-_TO_UNIT = 2.0**-64
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -107,7 +106,6 @@ class Rounds:
     def __init__(self, p: float, lanes: int, arities: tuple[int, ...]) -> None:
         self.lanes = lanes
         self.mask = lane_mask(lanes)
-        # (y - 1 + 2**64) - word reaches 2**64 exactly when word < y
         self.guard = int.from_bytes(_lane_bytes(open_threshold(p) + _MASK) * lanes, "little")
         self.steps = {}
         for arity in arities:
@@ -115,15 +113,24 @@ class Rounds:
             self.steps[arity] = (int.from_bytes(per * (lanes // arity), "little"),
                                  lanes // arity * arity)
 
+    def open_bits(self, word: int, n: int) -> int:
+        """Guard bits of the first n lanes of `word`, each lane a bond's word mix64(base ^ key).
+
+        Bit 64 of a lane is set when the bond is open, its word below
+        y = open_threshold(p): (y - 1 + 2**64) - word has bit 64 set exactly
+        when word < y, and never borrows from the next lane. The caller mixes
+        the words, so that the unmixed lanes are not kept alive through the mix.
+        """
+        diff = (self.guard >> 128 * (self.lanes - n)) - word
+        return diff ^ (diff & self.mask)
+
     def expand(self, keys: array, bases: array, arity: int) -> bytes:
         """Every child of the vertices, as 16-byte lanes in parent-major order.
 
         Vertex j has address key keys[j] in the trial with base word bases[j].
         Its child i is lane j*arity + i: bytes 0-7 hold the child's key,
-        child_key(keys[j], i), and byte 8 its open flag, 1 when the child's
-        word mix64(bases[j] ^ key) is below open_threshold(p). The flag is a
-        guard bit: per lane, (y - 1 + 2**64) - word has bit 64 set exactly
-        when word < y, and never borrows from the next lane.
+        child_key(keys[j], i), and byte 8 its open flag (open_bits of the
+        child's word, mix64(bases[j] ^ key)).
         """
         n = len(keys) * arity
         buf = array("Q", bytes(_LANE * n))
@@ -137,25 +144,16 @@ class Rounds:
         steps, stepped = self.steps[arity]
         child = mix_lanes((both & mask) ^ (steps >> 128 * (stepped - n)), mask)
         word = mix_lanes((both >> 64 & mask) ^ child, mask)
-        diff = (self.guard >> 128 * (self.lanes - n)) - word
-        return (child | (diff ^ (diff & mask))).to_bytes(_LANE * n, "little")
+        return (child | self.open_bits(word, n)).to_bytes(_LANE * n, "little")
 
 
 def _int(flags: bytes) -> int:
     return int.from_bytes(flags, "little")
 
 
-def _spread(flags: bytes, arity: int) -> bytearray:
-    """Each parent's byte once per child."""
-    out = bytearray(len(flags) * arity)
-    for i in range(arity):
-        out[i::arity] = flags
-    return out
-
-
-def _repeat(items: array, times: int) -> array:
-    """Each item once per child."""
-    out = array(items.typecode, bytes(items.itemsize * times * len(items)))
+def _repeat(items, times: int):
+    """Each item of an array or a bytes-like once per child; bytes come back as a bytearray."""
+    out = (bytearray(items) if isinstance(items, bytes) else items) * times
     for i in range(times):
         out[i::times] = items
     return out
@@ -163,7 +161,7 @@ def _repeat(items: array, times: int) -> array:
 
 def _wanted(flags: bytes, states: bytes, arity: int) -> bytes:
     """1 for each child whose bond is the opposite of its parent's edge."""
-    return (_int(flags) ^ _int(_spread(states, arity))).to_bytes(len(flags), "little")
+    return (_int(flags) ^ _int(_repeat(states, arity))).to_bytes(len(flags), "little")
 
 
 def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
@@ -215,7 +213,7 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
         leaf = _int(bytes(map((1).__eq__, left)))
         hit.update(compress(owners, (seen & leaf).to_bytes(m, "little")))
         going = (seen & ~leaf).to_bytes(m, "little")
-        below = _int(_spread(going, arity))
+        below = _int(_repeat(going, arity))
         child = lane_keys(lanes)
         rest = ((_int(wanted) ^ _int(first)) & below).to_bytes(len(flags), "little")
         if 1 in rest:  # pushed last sibling first, so that the first is resumed first
@@ -292,22 +290,19 @@ def trial_bases(seed: int, first: int, last: int) -> list[int]:
     return lane_keys(mixed.to_bytes(len(words), "little")).tolist()
 
 
-@functools.lru_cache(maxsize=1)
-def _flag_rounds(p: float, lanes: int) -> Rounds:
-    """The mask and guard of edge_flags, kept for the next batch of as many lanes at the same p."""
-    return Rounds(p, lanes, ())
+#: The Rounds of edge_flags, kept for the next batch of as many lanes at the same p.
+_flag_rounds = functools.lru_cache(maxsize=1)(Rounds)
 
 
 def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytes:
     """Open flags of a fixed list of edges in every trial of a batch, in one step.
 
     keys[j] is the address key of edge j (rng.vertex_key). Byte t*len(keys) + j
-    is 1 when mix64(bases[t] ^ keys[j]) is below open_threshold(p), the guard
-    bit of Rounds.expand: edge j is open in the trial with base word bases[t].
+    is 1 when edge j is open in the trial with base word bases[t], the
+    Rounds.open_bits of mix64(bases[t] ^ keys[j]).
     """
     n = len(keys) * len(bases)
-    rounds = _flag_rounds(p, n)
+    rounds = _flag_rounds(p, n, ())
     trial_words = b"".join(_lane_bytes(base) * len(keys) for base in bases)
     word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), rounds.mask)
-    diff = rounds.guard - word
-    return lane_flags((diff ^ (diff & rounds.mask)).to_bytes(_LANE * n, "little"))
+    return lane_flags(rounds.open_bits(word, n).to_bytes(_LANE * n, "little"))

@@ -45,6 +45,10 @@ Z95 = 1.959963984540054
 #: Expected lanes one counting estimate may expand: eight to nine minutes at the
 #: walk's 1.9 M lanes/s (one core of a 2-core machine, k = 3, p = 1/2, depths 16-24).
 MAX_COUNT_LANES = 10**9
+#: Lanes one kernel round may span: TRIAL_BATCH trials of an existence search,
+#: or COUNT_LANES vertices of the counting walk, times max(k, root degree). At
+#: this bound 1,024 zebra-ray trials at k = 512 peaked at 234 MB (Python 3.11).
+MAX_ROUND_LANES = 2**19
 
 
 class EventKind(enum.Enum):
@@ -159,6 +163,20 @@ def _chunk(args) -> tuple[int, int]:
     return total, total_sq
 
 
+def _check_rounds(params: TreeParams, event: EventSpec, trials: int) -> None:
+    """ValueError below one trial; TooLargeError for rounds wider than MAX_ROUND_LANES."""
+    from . import kernel
+
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    count = event.kind is EventKind.ZEBRA_COUNT
+    batch = kernel.COUNT_LANES if count else min(trials, kernel.TRIAL_BATCH)
+    lanes = batch * max(params.k, params.root_degree)
+    if lanes > MAX_ROUND_LANES:
+        raise TooLargeError(f"a round of {batch} vertices at k={params.k} spans {lanes} "
+                            f"lanes, past the bound of {MAX_ROUND_LANES}")
+
+
 def _expected_lanes(params: TreeParams, p: float, n: int) -> float:
     """Expected lanes of one counting walk to depth n: root_degree + k * sum_{m<n} E[X_m].
 
@@ -176,9 +194,12 @@ def _expected_lanes(params: TreeParams, p: float, n: int) -> float:
 
 
 def _resolve_workers(workers: int) -> int:
+    """The worker count, at most the CPUs this process may run on; 0 means all of them."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers if workers > 0 else (os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(workers, cpus) if workers > 0 else cpus
 
 
 def __getattr__(name: str):
@@ -203,13 +224,11 @@ def _pool_class():
 
 
 @contextlib.contextmanager
-def _chunk_map(workers: int, jobs: int, given=None):
-    """The map for `jobs` independent jobs: `given`, the builtin map for one process,
-    else the map of a pool of min(workers, jobs) processes, shut down on exit."""
+def _chunk_map(workers: int, jobs: int):
+    """The map for `jobs` independent jobs: the builtin map for one process, else
+    the map of a pool of min(workers, jobs) processes, shut down on exit."""
     size = min(_resolve_workers(workers), jobs)
-    if given is not None:
-        yield given
-    elif size <= 1:
+    if size <= 1:
         yield map
     else:
         with _pool_class()(max_workers=size) as pool:
@@ -230,13 +249,12 @@ def estimate_event(
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
     wall time. The chunks, one per worker, run through `chunk_map` (the map of
-    a pool the caller holds open) or else through _chunk_map's. A counting
-    estimate that expects more than MAX_COUNT_LANES lanes raises
-    TooLargeError before any bond is drawn.
+    a pool the caller holds open) or else through _chunk_map's. Rounds wider
+    than MAX_ROUND_LANES, and a counting estimate that expects more than
+    MAX_COUNT_LANES lanes, raise TooLargeError before any bond is drawn.
     """
     check_probability(p)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_rounds(params, event, trials)
     count = event.kind is EventKind.ZEBRA_COUNT
     lanes = trials * _expected_lanes(params, p, event.depth) if count else 0
     if lanes > MAX_COUNT_LANES:
@@ -246,10 +264,9 @@ def estimate_event(
     step = (trials + workers - 1) // workers
     jobs = [(params, p, event, seed, start, min(start + step, trials))
             for start in range(0, trials, step)]
-    with _chunk_map(workers, len(jobs), chunk_map) as run:
+    with contextlib.nullcontext(chunk_map) if chunk_map else _chunk_map(workers, len(jobs)) as run:
         parts = list(run(_chunk, jobs))
-    total = sum(part[0] for part in parts)
-    total_sq = sum(part[1] for part in parts)
+    total, total_sq = map(sum, zip(*parts))
     mean = total / trials
     if not count:
         stderr = math.sqrt(mean * (1.0 - mean) / trials)
@@ -307,7 +324,7 @@ def _multiplicity_planes(params: TreeParams, event: EventSpec, n_edges: int, bit
     of the multiplicity of code c, 1 or 0 for a ray event and the number of
     zebra-connected last-level edges for the counting event.
     """
-    roots, below = tree.edge_lists(params, event.depth)
+    _, roots, below = tree.edge_lists(params, event.depth)
     low = _block_tables(bits)
     full = (1 << (1 << bits)) - 1
     start = [(j, full) for j in roots]
@@ -363,18 +380,6 @@ def brute_force_probability(
 
         return Fraction(num, b**n_edges)
     return num / b**n_edges
-
-
-def transform_equivalence(params: TreeParams, p: float, m: int, bases: list[int]) -> bool:
-    """Sample a depth-2m configuration per trial base word and check the pair-transform correspondence.
-
-    Contract: always True; any False is an implementation defect. The trials
-    are sampled in one step and checked as one set of truth tables, so pass at
-    most a batch of chunk_bases at a time.
-    """
-    check_probability(p)
-    tables = sample_tables(params, 2 * m, p, bases)
-    return not tree.transform_check(params, m)(tables, (1 << len(bases)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +463,11 @@ def find_critical_mc(
     decides it exactly, so the search is reproducible. A probe stops once its
     answer is certain, so it runs all of its trials in one process: with more
     than one worker the two sides run in a pool of two processes, shut down
-    when the search returns. A detection level of 1 or more, which no
-    estimate exceeds, raises NoBracketError before any bond is drawn.
+    when the search returns. Before any bond is drawn, depth or trials below
+    1 raise ValueError, rounds wider than MAX_ROUND_LANES TooLargeError, and
+    a detection level of 1 or more, which no estimate exceeds, NoBracketError.
     """
+    _check_rounds(params, zebra_ray(depth), trials)
     tau = mc_indicator_threshold(params, depth)
     if tau >= 1.0:
         raise NoBracketError(f"no zebra-percolation transition detectable at depth {depth} "

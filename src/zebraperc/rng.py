@@ -69,14 +69,8 @@ class TrialStream:
 
     def uniform(self, edge_key: int) -> float:
         """Uniform [0, 1) draw for the bond with the given address key."""
-        x = self.base ^ edge_key
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (x ^ (x >> 31)) * _TO_UNIT
+        return mix64(self.base ^ edge_key) * _TO_UNIT
 
     def is_open(self, edge_key: int, p: float) -> bool:
-        """Bernoulli(p) bond state derived from `uniform(edge_key) < p`."""
-        x = self.base ^ edge_key
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (x ^ (x >> 31)) * _TO_UNIT < p
+        """Bernoulli(p) bond state, `uniform(edge_key) < p`."""
+        return mix64(self.base ^ edge_key) * _TO_UNIT < p

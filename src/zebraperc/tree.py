@@ -173,12 +173,12 @@ def hat_edge_decompose(params: TreeParams, x: Address, z: Address) -> tuple[Addr
 # ---------------------------------------------------------------------------
 # edge indices, codes and truth tables
 
-def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int]]]:
-    """Child-edge indices of the depth-truncation, for configurations held as truth tables.
+def edge_lists(params: TreeParams, depth: int) -> tuple[list[Address], list[int], list[list[int]]]:
+    """The edges of the depth-truncation and their child-edge indices, for truth tables.
 
-    Edge j is edges(params, depth)[j]. Returns the indices of the edges below
-    the root and, for each edge j, the indices of the edges just below its
-    lower endpoint (empty on the last level).
+    Returns edges(params, depth), whose edge j is table j, the indices of the
+    edges below the root and, for each edge j, the indices of the edges just
+    below its lower endpoint (empty on the last level).
     """
     edge_list = edges(params, depth)
     index = dict(zip(edge_list, itertools.count()))
@@ -186,7 +186,7 @@ def edge_lists(params: TreeParams, depth: int) -> tuple[list[int], list[list[int
         [index[c] for c in children(params, e)] if len(e) < depth else []
         for e in edge_list
     ]
-    return [index[c] for c in children(params, ROOT)], below
+    return edge_list, [index[c] for c in children(params, ROOT)], below
 
 
 def check_enumerable(params: TreeParams, depth: int) -> int:
@@ -261,10 +261,10 @@ def transform_check(params: TreeParams, m: int):
     """
     if m < 1:
         raise ValueError(f"half-depth must be >= 1, got {m}")
-    index = dict(zip(edges(params, 2 * m), itertools.count()))
-    pairs = [[index[e] for e in _base_pair(params, hv)] for hv in edges(hat_shape(params), m)]
-    roots, below = edge_lists(params, 2 * m)
-    hat_roots, hat_below = edge_lists(hat_shape(params), m)
+    edge_list, roots, below = edge_lists(params, 2 * m)
+    hat_edges, hat_roots, hat_below = edge_lists(hat_shape(params), m)
+    index = dict(zip(edge_list, itertools.count()))
+    pairs = [[index[e] for e in _base_pair(params, hv)] for hv in hat_edges]
 
     def failures(tables, full: int) -> int:
         plus = [tables[u] & ~tables[v] for u, v in pairs]
@@ -311,8 +311,7 @@ def _ends(shape, length: int, depth: int, labels: dict, label, first,
         raise ValueError(f"path length must be >= 1, got {length}")
     if length > depth:
         raise ValueError(f"path length {length} exceeds the configuration depth {depth}")
-    edge_list = edges(shape, length)
-    roots, below = edge_lists(shape, length)
+    edge_list, roots, below = edge_lists(shape, length)
     tables = [int(labels[e] is label) for e in edge_list]
     start = [(j, 1 if first is None else int(tables[j] == first)) for j in roots]
     return [edge_list[j] for j, _ in reach(below, start, tables, alternate)]

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from zebraperc.montecarlo import (
     mc_indicator_threshold,
     open_ray,
     sample_sigma,
-    transform_equivalence,
+    sample_tables,
     wilson_interval,
     zebra_count,
     zebra_ray,
@@ -37,6 +38,7 @@ from zebraperc.tree import (
     edge_count,
     enumerate_configs,
     open_ray_witness,
+    transform_check,
     zebra_connected_count,
     zebra_ray_witness,
 )
@@ -301,21 +303,28 @@ class TestChunkBases:
             TrialStream(seed, t).base for t in range(start, stop)]
 
 
+def transform_failures(params, p, m, batches):
+    """Per batch of trial base words, the sampled trials where the pair-transform
+    correspondence fails; the check is built once for all the batches."""
+    failures = transform_check(params, m)
+    return [failures(sample_tables(params, 2 * m, p, bases), (1 << len(bases)) - 1)
+            for bases in batches]
+
+
 class TestTransformEquivalence:
     @pytest.mark.parametrize("params,m", [(P2, 2), (P2, 3), (P3, 2)])
     def test_sampled_trials_hold(self, params, m):
-        assert all(transform_equivalence(params, 0.5, m, [TrialStream(0, t).base])
-                   for t in range(300))
+        batches = ([TrialStream(0, t).base] for t in range(300))
+        assert not any(transform_failures(params, 0.5, m, batches))
 
     @pytest.mark.parametrize("params,m", [(P2, 2), (P3, 2), (TreeParams(2, RootMode.FULL_CAYLEY), 2)])
     def test_batched_check_holds(self, params, m):
-        assert all(transform_equivalence(params, 0.5, m, bases)
-                   for bases in chunk_bases(2, 0, 3000))
+        assert not any(transform_failures(params, 0.5, m, chunk_bases(2, 0, 3000)))
 
     def test_biased_probabilities_hold(self):
         for p in (0.1, 0.9):
-            assert all(transform_equivalence(P2, p, 2, [TrialStream(1, t).base])
-                       for t in range(200))
+            batches = ([TrialStream(1, t).base] for t in range(200))
+            assert not any(transform_failures(P2, p, 2, batches))
 
 
 class TestCriticalFinders:
@@ -368,6 +377,12 @@ class TestCriticalFinders:
     def test_mc_no_bracket_for_k2(self):
         with pytest.raises(NoBracketError, match=r"inside \(0.0, 0.5\) for k=2"):
             find_critical_mc(P2, 12, 2000, 77)
+
+    @pytest.mark.parametrize("depth,trials", [(0, 2000), (-1, 2000), (12, 0), (12, -5)])
+    def test_mc_inputs_refused_before_any_bond(self, monkeypatch, depth, trials):
+        refuse_bonds(monkeypatch)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            find_critical_mc(P3, depth, trials, 77)
 
     @pytest.mark.parametrize("params,depth,level", [(P3, 6, "1.125"), (P2, 8, "1")])
     def test_mc_level_of_one_refused_before_any_bond(self, monkeypatch, params, depth, level):
@@ -468,3 +483,103 @@ class TestCountBudget:
         monkeypatch.setattr(montecarlo, "MAX_COUNT_LANES", 0)
         assert estimate_event(P2, 1.0, open_ray(2000), 1, 0).mean == 1.0
         assert estimate_event(P3, 0.5, zebra_ray(40), 10, 0).trials == 10
+
+
+def refuse_bonds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bond was drawn")
+
+    monkeypatch.setattr(kernel, "ray_hits", refuse)
+    monkeypatch.setattr(kernel, "zebra_counts", refuse)
+
+
+class TestRoundWidth:
+    """A kernel round wider than MAX_ROUND_LANES is refused before any bond is drawn."""
+
+    CASES = [
+        (P3, zebra_ray(4), 10, 30),
+        (P3, open_ray(4), 5000, 3 * kernel.TRIAL_BATCH),
+        (TreeParams(3, RootMode.FULL_CAYLEY), zebra_ray(4), 10, 40),
+        (P3, zebra_count(4), 1, 3 * kernel.COUNT_LANES),
+    ]
+
+    @pytest.mark.parametrize("params,event,trials,lanes", CASES)
+    def test_refused_past_the_bound(self, monkeypatch, params, event, trials, lanes):
+        refuse_bonds(monkeypatch)
+        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", lanes - 1)
+        with pytest.raises(TooLargeError, match=f"spans {lanes} lanes"):
+            estimate_event(params, 0.5, event, trials, 0)
+
+    @pytest.mark.parametrize("params,event,trials,lanes", CASES)
+    def test_runs_at_the_bound(self, monkeypatch, params, event, trials, lanes):
+        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", lanes)
+        assert estimate_event(params, 0.5, event, trials, 0).trials == trials
+
+    def test_critical_refused(self, monkeypatch):
+        refuse_bonds(monkeypatch)
+        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", 3 * 1000 - 1)
+        with pytest.raises(TooLargeError, match="spans 3000 lanes"):
+            find_critical_mc(P3, 12, 1000, 77, workers=2)
+
+    def test_cli_exits_4(self, monkeypatch, capsys):
+        from zebraperc import cli
+
+        refuse_bonds(monkeypatch)
+        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", 29)
+        assert cli.main(["eval", "--k", "3", "--p", "0.5", "--method", "mc", "--depth", "4",
+                         "--trials", "10"]) == 4
+        assert cli.main(["critical", "--mode", "zebra-mc", "--k", "3", "--depth", "12",
+                         "--trials", "10"]) == 4
+        assert capsys.readouterr().out == ""
+
+
+class TestWorkerCap:
+    """However many workers are asked for, no more pool processes start than the
+    CPUs this process may run on; 0 asks for all of them."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process, so no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        return sizes
+
+    @pytest.mark.parametrize("event", [zebra_ray(6), zebra_count(4)])
+    @pytest.mark.parametrize("workers", [0, 2, 3, 5000])
+    def test_estimates_capped(self, sizes, event, workers):
+        one = estimate_event(P3, 0.5, event, 300, 5)
+        assert estimate_event(P3, 0.5, event, 300, 5, workers=workers) == one
+        assert sizes == [2]
+
+    def test_sweep_capped(self, sizes, monkeypatch, capsys):
+        from zebraperc import cli
+
+        argv = ["sweep", "--k", "3", "--methods", "mc", "--event", "zebra-count", "--depth", "6",
+                "--trials", "300", "--steps", "3", "--seed", "5"]
+        outputs = []
+        for threads in ("1", "5000"):
+            monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert sizes == [2] and outputs[0] == outputs[1]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [montecarlo._resolve_workers(w) for w in (0, 1, 3, 4, 5000)] == [3, 1, 3, 3, 3]
