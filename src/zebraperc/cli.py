@@ -231,7 +231,7 @@ def _writer(path: str | None):
 # point evaluation (eval is a sweep of one point)
 
 def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
-                    chunk_map=None) -> CurvePoint:
+                    estimate) -> CurvePoint:
     depth = trials = seed = 0
     if method == "closed-form":
         if params.root_mode is not RootMode.ROOTED_K:
@@ -256,8 +256,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
         if method == "mc":
             trials = _check_int(rc, "trials", 1)
             seed = _check_int(rc, "seed", 0)
-            est = montecarlo.estimate_event(params, p, event, trials, seed, _workers_from_env(),
-                                            chunk_map)
+            est = estimate(p, event, trials, seed)
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
         value = montecarlo.brute_force_probability(params, p, event)
@@ -282,30 +281,37 @@ def _write_rows(output: str | None, header: str | None, rows) -> int:
 
 
 @contextlib.contextmanager
-def _shared_chunk_map():
-    """One chunk map for every mc point of a run. The first estimate opens
-    montecarlo._chunk_map for as many processes as it has chunks, a pool only
-    when there are several; the later ones, with as many chunks, reuse it.
-    Opening it there keeps each point's own option checks first, and a run
-    without mc points imports nothing for it."""
+def _grid_estimates(params: TreeParams, ps: list[float]):
+    """estimate(p, event, trials, seed) for the mc rows of a run over the grid ps.
+    The first mc row of a group estimates it with up to kernel.GROUP - 1 grid
+    points after it. The first group opens montecarlo._chunk_map for as many
+    processes as it has chunks, a pool only when there are several; the later
+    groups, with as many chunks, reuse it. Opening it there keeps the first
+    point's option checks first, and a run without mc points imports nothing."""
     with contextlib.ExitStack() as stack:
-        opened = None
+        done, opened = {}, []
 
-        def run(fn, jobs):
-            nonlocal opened
-            if opened is None:
-                from . import montecarlo
+        def estimate(p, event, trials, seed):
+            from . import kernel, montecarlo
 
-                opened = stack.enter_context(montecarlo._chunk_map(len(jobs), len(jobs)))
-            return opened(fn, jobs)
+            def run(fn, jobs):
+                if not opened:
+                    opened.append(stack.enter_context(montecarlo._chunk_map(len(jobs), len(jobs))))
+                return opened[0](fn, jobs)
 
-        yield run
+            if p not in done:
+                group = ps[ps.index(p):][:kernel.GROUP]
+                done.update(zip(group, montecarlo.estimate_grid(
+                    params, group, event, trials, seed, _workers_from_env(), run)))
+            return done[p]
+
+        yield estimate
 
 
 def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
     """Evaluate every method at every p, in that order, and write one record each."""
-    with _shared_chunk_map() as chunk_map:
-        points = (_evaluate_point(params, p, method, rc, chunk_map)
+    with _grid_estimates(params, ps) as estimate:
+        points = (_evaluate_point(params, p, method, rc, estimate)
                   for p in ps for method in methods)
         if rc["format"] == "json":
             return _write_rows(rc["output"], None, (point.json_line() for point in points))

@@ -13,6 +13,11 @@ says so (see open_threshold). Outcomes are therefore those of the rng
 contract, bond for bond: a trial's outcome depends neither on the other
 trials that share its rounds nor on the order in which its vertices are
 expanded.
+
+Only the open test depends on p, never a word. The existence search tests
+one p by guard bits (Rounds.open_bits); the counting walk reads the open bits
+of a group of up to GROUP probabilities from each word's top byte
+(OpenTable), so one walk over the union of their zebra cones counts them all.
 """
 
 from __future__ import annotations
@@ -35,10 +40,14 @@ from .rng import _GOLDEN, _MASK, _TO_UNIT, ROOT_KEY, mix64
 TRIAL_BATCH = 1024
 #: Vertices expanded per round of the counting walk.
 COUNT_LANES = 2048
+#: Probabilities one counting walk serves: the bits of a byte.
+GROUP = 8
 
 _LANE = 16  # bytes per lane
 _SWAP = sys.byteorder != "little"
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_LOW = (1 << 56) - 1  # the bits of a word below its top byte
+_BITS = [bytes(b >> j & 1 for b in range(256)) for j in range(GROUP)]  # bit j of a byte
 
 
 def open_threshold(p: float) -> int:
@@ -100,18 +109,24 @@ def mix_lanes(x: int, mask: int) -> int:
 
 
 class Rounds:
-    """Expands vertex lists for one search at one p; its constants are built
-    once, for the search's largest round, and cut down to each round."""
+    """Expands vertex lists for one search. Its lane constants are built for the
+    widest round expanded so far, doubling as the rounds grow, and cut down to
+    each round; with a p it also holds the guard of p's open test."""
 
-    def __init__(self, p: float, lanes: int, arities: tuple[int, ...]) -> None:
-        self.lanes = lanes
-        self.mask = lane_mask(lanes)
-        self.guard = int.from_bytes(_lane_bytes(open_threshold(p) + _MASK) * lanes, "little")
+    def __init__(self, p: float | None = None) -> None:
+        self.threshold = None if p is None else open_threshold(p)
+        self.lanes = self.mask = self.guard = 0
+        self.steps: dict[int, int] = {}
+
+    def fit(self, n: int) -> None:
+        """Grow the constants to at least n lanes, to twice their width or more."""
+        if n <= self.lanes:
+            return
+        self.lanes = max(n, 2 * self.lanes)
+        self.mask = lane_mask(self.lanes)
+        if self.threshold is not None:
+            self.guard = int.from_bytes(_lane_bytes(self.threshold + _MASK) * self.lanes, "little")
         self.steps = {}
-        for arity in arities:
-            per = _lane_bytes(*((i + 1) * _GOLDEN & _MASK for i in range(arity)))
-            self.steps[arity] = (int.from_bytes(per * (lanes // arity), "little"),
-                                 lanes // arity * arity)
 
     def open_bits(self, word: int, n: int) -> int:
         """Guard bits of the first n lanes of `word`, each lane a bond's word mix64(base ^ key).
@@ -124,15 +139,15 @@ class Rounds:
         diff = (self.guard >> 128 * (self.lanes - n)) - word
         return diff ^ (diff & self.mask)
 
-    def expand(self, keys: array, bases: array, arity: int) -> bytes:
-        """Every child of the vertices, as 16-byte lanes in parent-major order.
+    def mix(self, keys: array, bases: array, arity: int) -> tuple[int, int]:
+        """The child keys and the bond words of every child of the vertices, in parent-major lanes.
 
         Vertex j has address key keys[j] in the trial with base word bases[j].
-        Its child i is lane j*arity + i: bytes 0-7 hold the child's key,
-        child_key(keys[j], i), and byte 8 its open flag (open_bits of the
-        child's word, mix64(bases[j] ^ key)).
+        Lane j*arity + i of the first int is its child i's key, child_key(keys[j], i),
+        and of the second that child's bond word, mix64(bases[j] ^ key).
         """
         n = len(keys) * arity
+        self.fit(n)
         buf = array("Q", bytes(_LANE * n))
         for i in range(arity):
             buf[2 * i :: 2 * arity] = keys
@@ -141,10 +156,55 @@ class Rounds:
             buf.byteswap()
         both = int.from_bytes(buf, "little")
         mask = self.mask
-        steps, stepped = self.steps[arity]
-        child = mix_lanes((both & mask) ^ (steps >> 128 * (stepped - n)), mask)
-        word = mix_lanes((both >> 64 & mask) ^ child, mask)
+        steps = self.steps.get(arity)
+        if steps is None:
+            per = _lane_bytes(*((i + 1) * _GOLDEN & _MASK for i in range(arity)))
+            steps = self.steps[arity] = int.from_bytes(per * (self.lanes // arity), "little")
+        child = mix_lanes((both & mask) ^ (steps >> 128 * (self.lanes // arity * arity - n)), mask)
+        return child, mix_lanes((both >> 64 & mask) ^ child, mask)
+
+    def expand(self, keys: array, bases: array, arity: int) -> bytes:
+        """Every child of the vertices, as 16-byte lanes in the order of mix: bytes
+        0-7 hold the child's key and byte 8 its open flag (open_bits of its word)."""
+        child, word = self.mix(keys, bases, arity)
+        n = len(keys) * arity
         return (child | self.open_bits(word, n)).to_bytes(_LANE * n, "little")
+
+
+class OpenTable:
+    """The open bits of a group of at most GROUP probabilities, bit j for ps[j],
+    from the bond words in bytes 8-15 of 16-byte lanes.
+
+    Bit j of table[b] is set when every word with top byte b is below
+    y_j = open_threshold(ps[j]). The words with top byte y_j >> 56 lie on both
+    sides of y_j unless y_j is a multiple of 2**56, so that byte is undecided
+    for bit j: its lanes are tested whole, word < y_j. A round of random words
+    has about len(ps) / 256 of its lanes undecided.
+    """
+
+    def __init__(self, ps: Sequence[float]) -> None:
+        if not 1 <= len(ps) <= GROUP:
+            raise ValueError(f"a group holds 1 to {GROUP} probabilities, got {len(ps)}")
+        ys = list(map(open_threshold, ps))
+        self.table = bytes(sum(1 << j for j, y in enumerate(ys) if (b + 1) << 56 <= y)
+                           for b in range(256))
+        self.undecided: defaultdict[int, list] = defaultdict(list)
+        for j, y in enumerate(ys):
+            if y & _LOW:
+                self.undecided[y >> 56].append((1 << j, y))
+
+    def __call__(self, lanes: bytes) -> bytearray:
+        top = bytearray(lanes[15::_LANE])
+        bits = top.translate(self.table)
+        for byte, tests in self.undecided.items():
+            i = top.find(byte)
+            while i >= 0:
+                word = int.from_bytes(lanes[_LANE * i + 8 : _LANE * i + 16], "little")
+                for bit, y in tests:
+                    if word < y:
+                        bits[i] |= bit
+                i = top.find(byte, i + 1)
+        return bits
 
 
 def _int(flags: bytes) -> int:
@@ -184,7 +244,7 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     hits so far, a subset of the full result, are returned.
     """
     k, root_degree = params.k, params.root_degree
-    rounds = Rounds(p, len(bases) * max(k, root_degree), (root_degree, k))
+    rounds = Rounds(p)
     stop_hits, stop_misses = stop or (len(bases) + 1, len(bases) + 1)
     misses = 0
     hit: set[int] = set()
@@ -243,42 +303,59 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     return hit
 
 
-def zebra_counts(params: TreeParams, p: float, n: int, bases: Sequence[int]) -> Counter:
-    """For each trial, by base word, the depth-n vertices joined to the root by a zebra path.
+def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
+                 bases: Sequence[int]) -> list[Counter]:
+    """For each p of ps and each trial, by base word, the depth-n vertices joined
+    to the root by a zebra path; trials with no such vertex are absent.
 
-    Trials with no such vertex are absent. The pending vertices of all trials,
-    roots included, are pooled by the edges left below them and expanded
-    deepest first, at most COUNT_LANES per round, so the pool stays small.
+    One walk serves the group: a bond's word does not depend on p, only its
+    open threshold does, so each round mixes every child key and bond word
+    once and reads the open bits of all of ps from it (OpenTable). A pending
+    vertex carries a mask byte, bit j set when a zebra path at ps[j] reaches
+    it, and a state byte, bit j its own edge's state at ps[j], side by side
+    in one 'H' item; a child is pending when its mask is not empty. The
+    pending vertices of all trials, roots included, are pooled by the edges
+    left below them and expanded deepest first, at most COUNT_LANES per round,
+    so the pool stays small.
     """
     k, root_degree = params.k, params.root_degree
-    rounds = Rounds(p, COUNT_LANES * max(k, root_degree), (root_degree, k))
-    counts: Counter = Counter()
+    opens = OpenTable(ps)
+    rounds = Rounds()
+    counts = [Counter() for _ in ps]
     bases = array("Q", bases)
-    pending = {n: (array("Q", [ROOT_KEY]) * len(bases), bases, bytearray(len(bases)))}
+    pending = {n: (array("Q", [ROOT_KEY]) * len(bases), bases,
+                   array("H", bytes([(1 << len(ps)) - 1, 0])) * len(bases))}
     while pending:
         remaining = min(pending)
         pool = pending[remaining]
-        keys, owners, states = (part[-COUNT_LANES:] for part in pool)
+        keys, owners, marks = (part[-COUNT_LANES:] for part in pool)
         if len(keys) == len(pool[0]):
             del pending[remaining]
         else:
             for part in pool:
                 del part[-COUNT_LANES:]
         arity = root_degree if remaining == n else k
-        lanes = rounds.expand(keys, owners, arity)
-        flags = lane_flags(lanes)
+        child, word = rounds.mix(keys, owners, arity)
+        lanes = (child | word << 64).to_bytes(_LANE * len(keys) * arity, "little")
+        flags = opens(lanes)
+        marks = marks.tobytes()
+        masks = _repeat(marks[0::2], arity)
         if remaining == n:  # below the root either state starts a zebra path
-            wanted = b"\x01" * len(flags)
+            wanted = masks
         else:
-            wanted = _wanted(flags, states, arity)
+            states = _repeat(marks[1::2], arity)
+            wanted = (_int(masks) & (_int(flags) ^ _int(states))).to_bytes(len(flags), "little")
         owners = _repeat(owners, arity)
         if remaining == 1:
-            counts.update(compress(owners, wanted))
-        elif 1 in wanted:
-            store = pending.setdefault(remaining - 1, (array("Q"), array("Q"), bytearray()))
-            store[0].extend(compress(lane_keys(lanes), wanted))
-            store[1].extend(compress(owners, wanted))
-            store[2].extend(compress(flags, wanted))
+            for bit, counter in zip(_BITS, counts):
+                counter.update(compress(owners, wanted.translate(bit)))
+            continue
+        if any(wanted):  # compress keeps the lanes of a nonzero mask
+            marks = bytearray(2 * len(flags))
+            marks[0::2], marks[1::2] = wanted, flags
+            store = pending.setdefault(remaining - 1, (array("Q"), array("Q"), array("H")))
+            for part, items in zip(store, (lane_keys(lanes), owners, array("H", marks))):
+                part.extend(compress(items, wanted))
     return counts
 
 
@@ -290,7 +367,7 @@ def trial_bases(seed: int, first: int, last: int) -> list[int]:
     return lane_keys(mixed.to_bytes(len(words), "little")).tolist()
 
 
-#: The Rounds of edge_flags, kept for the next batch of as many lanes at the same p.
+#: The Rounds of edge_flags, kept for the next batch at the same p.
 _flag_rounds = functools.lru_cache(maxsize=1)(Rounds)
 
 
@@ -302,7 +379,8 @@ def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytes:
     Rounds.open_bits of mix64(bases[t] ^ keys[j]).
     """
     n = len(keys) * len(bases)
-    rounds = _flag_rounds(p, n, ())
+    rounds = _flag_rounds(p)
+    rounds.fit(n)
     trial_words = b"".join(_lane_bytes(base) * len(keys) for base in bases)
     word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), rounds.mask)
     return lane_flags(rounds.open_bits(word, n).to_bytes(_LANE * n, "little"))

@@ -4,9 +4,11 @@ Every outcome is a pure function of (seed, trial index, bond address). Trials
 run in batches through the packed-lane kernel (kernel.py), which draws the
 bonds of many trials per big-integer step: existence events by a lockstep
 depth-first search that stops each trial at its first witness, the counting
-event by a walk over the whole zebra cone. estimate_event folds the outcomes
+event by a walk over the whole zebra cone. estimate_grid folds the outcomes
 of every event with integer merges, so estimates are identical for any worker
-count, any batch size and any execution order. The work of a search grows
+count, any batch size and any execution order. Its chunks carry a group of
+points of one seed, and the counting walk draws each bond word once for the
+whole group; estimate_event is its one-point call. The work of a search grows
 about linearly in depth, but the zebra cone grows geometrically between p_c1
 and p_c2, so a counting estimate must fit a budget of expected lanes.
 
@@ -144,23 +146,24 @@ def chunk_bases(seed: int, start: int, stop: int):
         yield kernel.trial_bases(seed, first, min(first + kernel.TRIAL_BATCH, stop))
 
 
-def _chunk(args) -> tuple[int, int]:
-    """Sum and sum of squares of the outcomes of trials start .. stop-1: X_n, or hit 1 / miss 0."""
-    params, p, event, seed, start, stop = args
+def _chunk(args) -> list[list[int]]:
+    """For each p of the group, the sum and sum of squares of the outcomes of trials
+    start .. stop-1: X_n, or hit 1 / miss 0."""
+    params, ps, event, seed, start, stop = args
     from . import kernel
 
-    total = total_sq = 0
+    sums = [[0, 0] for _ in ps]
     for bases in chunk_bases(seed, start, stop):
         if event.kind is EventKind.ZEBRA_COUNT:
-            counts = kernel.zebra_counts(params, p, event.depth, bases).values()
-            total += sum(counts)
-            total_sq += sum(x * x for x in counts)
-        else:
+            outcomes = [c.values() for c in kernel.zebra_counts(params, ps, event.depth, bases)]
+        else:  # an existence search stops at another vertex for each p: one search per p
             alternate = event.kind is EventKind.ZEBRA_RAY
-            hits = len(kernel.ray_hits(params, p, event.depth, bases, alternate))
-            total += hits
-            total_sq += hits
-    return total, total_sq
+            outcomes = [[1] * len(kernel.ray_hits(params, p, event.depth, bases, alternate))
+                        for p in ps]
+        for part, values in zip(sums, outcomes):
+            part[0] += sum(values)
+            part[1] += sum(x * x for x in values)
+    return sums
 
 
 def _check_rounds(params: TreeParams, event: EventSpec, trials: int) -> None:
@@ -248,27 +251,65 @@ def estimate_event(
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
-    wall time. The chunks, one per worker, run through `chunk_map` (the map of
-    a pool the caller holds open) or else through _chunk_map's. Rounds wider
-    than MAX_ROUND_LANES, and a counting estimate that expects more than
+    wall time. This is estimate_grid at the one point p: rounds wider than
+    MAX_ROUND_LANES, and a counting estimate that expects more than
     MAX_COUNT_LANES lanes, raise TooLargeError before any bond is drawn.
     """
+    return estimate_grid(params, [p], event, trials, seed, workers, chunk_map)[0]
+
+
+def _check_point(params: TreeParams, p: float, event: EventSpec, trials: int) -> None:
+    """ValueError for a p outside [0, 1]; TooLargeError for a counting estimate past MAX_COUNT_LANES."""
     check_probability(p)
+    if event.kind is EventKind.ZEBRA_COUNT:
+        lanes = trials * _expected_lanes(params, p, event.depth)
+        if lanes > MAX_COUNT_LANES:
+            raise TooLargeError(f"zebra-count to depth {event.depth} at p={p} expects "
+                                f"{lanes:.3g} lanes over {trials} trials, past the budget of "
+                                f"{MAX_COUNT_LANES:.3g}")
+
+
+def estimate_grid(
+    params: TreeParams,
+    ps: list[float],
+    event: EventSpec,
+    trials: int,
+    seed: int,
+    workers: int = 1,
+    chunk_map=None,
+) -> list[Estimate]:
+    """estimate_event at each p of a group of at most kernel.GROUP points, whose
+    chunks carry the whole group.
+
+    Every p draws the same bond words from the same seed, so one counting walk
+    per batch serves all of them; an existence event runs one search per p.
+    The chunks, one per worker, run through `chunk_map` (the map of a pool the
+    caller holds open) or else through _chunk_map's. The estimates stop
+    before the first p that estimate_event would refuse, and a refused first
+    p raises, so a caller estimating a grid group by group meets each refusal
+    at its own point. Every check comes before any bond is drawn.
+    """
     _check_rounds(params, event, trials)
-    count = event.kind is EventKind.ZEBRA_COUNT
-    lanes = trials * _expected_lanes(params, p, event.depth) if count else 0
-    if lanes > MAX_COUNT_LANES:
-        raise TooLargeError(f"zebra-count to depth {event.depth} at p={p} expects {lanes:.3g} "
-                            f"lanes over {trials} trials, past the budget of {MAX_COUNT_LANES:.3g}")
+    for i, p in enumerate(ps):
+        try:
+            _check_point(params, p, event, trials)
+        except ValueError:  # TooLargeError included
+            if i == 0:
+                raise
+            ps = ps[:i]
+            break
     workers = min(_resolve_workers(workers), trials)
     step = (trials + workers - 1) // workers
-    jobs = [(params, p, event, seed, start, min(start + step, trials))
+    jobs = [(params, ps, event, seed, start, min(start + step, trials))
             for start in range(0, trials, step)]
     with contextlib.nullcontext(chunk_map) if chunk_map else _chunk_map(workers, len(jobs)) as run:
         parts = list(run(_chunk, jobs))
-    total, total_sq = map(sum, zip(*parts))
+    return [_estimate(event, trials, seed, *map(sum, zip(*point))) for point in zip(*parts)]
+
+
+def _estimate(event: EventSpec, trials: int, seed: int, total: int, total_sq: int) -> Estimate:
     mean = total / trials
-    if not count:
+    if event.kind is not EventKind.ZEBRA_COUNT:
         stderr = math.sqrt(mean * (1.0 - mean) / trials)
         low, high = wilson_interval(total, trials)
     else:

@@ -271,6 +271,38 @@ class TestSweep:
         assert starts == [2]  # none at one thread, one for the three points at two
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
 
+    def test_budget_refusal_after_the_rows_before_it(self, capsys, monkeypatch):
+        """The 4th of 11 grid points is past the count budget: the first three rows
+        are written from one walk over those three points, then the run exits 4."""
+        from zebraperc import kernel, montecarlo
+
+        ps = cli._grid(0.3, 0.7, 11)
+        monkeypatch.setattr(montecarlo, "MAX_COUNT_LANES",
+                            300 * montecarlo._expected_lanes(TreeParams(3), ps[2], 6))
+        groups = []
+
+        def recording(params, group, n, bases):
+            groups.append(list(group))
+            return walk(params, group, n, bases)
+
+        walk = kernel.zebra_counts
+        monkeypatch.setattr(kernel, "zebra_counts", recording)
+        code, out, err = run_cli(capsys, ["sweep", "--k", "3", "--methods", "mc", "--event",
+                                          "zebra-count", "--depth", "6", "--trials", "300",
+                                          "--pmin", "0.3", "--pmax", "0.7", "--steps", "11",
+                                          "--seed", "5"])
+        assert code == 4
+        assert out.splitlines() == [
+            CSV_HEADER,
+            "3,rooted-k,0.3,6,mc-zebra-count,13.3933333333,12.3667267871,14.4199398796,300,5",
+            "3,rooted-k,0.34,6,mc-zebra-count,16.8,15.6080339642,17.9919660358,300,5",
+            "3,rooted-k,0.38,6,mc-zebra-count,19.55,18.2475004303,20.8524995697,300,5",
+        ]
+        assert err.splitlines()[-1] == (
+            "error: zebra-count to depth 6 at p=0.42 expects 3.51e+04 lanes over 300 trials, "
+            "past the budget of 3.34e+04")
+        assert groups == [ps[:3]]
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, ["sweep", "--k", "2", "--methods", "fixed-point",
@@ -694,6 +726,46 @@ class TestThreadEnvironment:
             out, err = proc.communicate()
             assert proc.returncode == 0, err
             assert out == "k,mode,side,value,reference,abs_gap\n" + stdout
+
+    #: Eleven mc points in two walks, split at the eight-point group boundary,
+    #: between dp rows.
+    SWEEP_MC_DP = ["sweep", "--k", "3", "--methods", "mc,dp", "--event", "zebra-count",
+                   "--depth", "6", "--trials", "300", "--pmin", "0.3", "--pmax", "0.7",
+                   "--steps", "11", "--seed", "5"]
+    SWEEP_MC_DP_ROWS = (
+        "3,rooted-k,0.3,6,mc-zebra-count,13.3933333333,12.3667267871,14.4199398796,300,5\n"
+        "3,rooted-k,0.3,6,dp,0.948039075426,0.948039075426,0.948039075426,0,0\n"
+        "3,rooted-k,0.34,6,mc-zebra-count,16.8,15.6080339642,17.9919660358,300,5\n"
+        "3,rooted-k,0.34,6,dp,0.967790719394,0.967790719394,0.967790719394,0,0\n"
+        "3,rooted-k,0.38,6,mc-zebra-count,19.55,18.2475004303,20.8524995697,300,5\n"
+        "3,rooted-k,0.38,6,dp,0.978749612288,0.978749612288,0.978749612288,0,0\n"
+        "3,rooted-k,0.42,6,mc-zebra-count,21.21,19.7978659105,22.6221340895,300,5\n"
+        "3,rooted-k,0.42,6,dp,0.984670678205,0.984670678205,0.984670678205,0,0\n"
+        "3,rooted-k,0.46,6,mc-zebra-count,22.1333333333,20.7279038049,23.5387628618,300,5\n"
+        "3,rooted-k,0.46,6,dp,0.987576462969,0.987576462969,0.987576462969,0,0\n"
+        "3,rooted-k,0.5,6,mc-zebra-count,22.8333333333,21.4616603184,24.2050063483,300,5\n"
+        "3,rooted-k,0.5,6,dp,0.988447933742,0.988447933742,0.988447933742,0,0\n"
+        "3,rooted-k,0.54,6,mc-zebra-count,22.5733333333,21.2122584844,23.9344081823,300,5\n"
+        "3,rooted-k,0.54,6,dp,0.987576462969,0.987576462969,0.987576462969,0,0\n"
+        "3,rooted-k,0.58,6,mc-zebra-count,20.7166666667,19.4401266565,21.9932066769,300,5\n"
+        "3,rooted-k,0.58,6,dp,0.984670678205,0.984670678205,0.984670678205,0,0\n"
+        "3,rooted-k,0.62,6,mc-zebra-count,18.9566666667,17.6859518387,20.2273814946,300,5\n"
+        "3,rooted-k,0.62,6,dp,0.978749612288,0.978749612288,0.978749612288,0,0\n"
+        "3,rooted-k,0.66,6,mc-zebra-count,16.34,15.1444945072,17.5355054928,300,5\n"
+        "3,rooted-k,0.66,6,dp,0.967790719394,0.967790719394,0.967790719394,0,0\n"
+        "3,rooted-k,0.7,6,mc-zebra-count,13.71,12.5681709562,14.8518290438,300,5\n"
+        "3,rooted-k,0.7,6,dp,0.948039075426,0.948039075426,0.948039075426,0,0\n"
+    )
+
+    def test_grouped_sweep_stdout_at_one_and_two_threads(self):
+        procs = [subprocess.Popen([sys.executable, "-m", "zebraperc", *self.SWEEP_MC_DP],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                  env=child_env(ZEBRA_PERC_THREADS=threads))
+                 for threads in ("1", "2")]
+        for proc in procs:
+            out, err = proc.communicate()
+            assert proc.returncode == 0, err
+            assert out == CSV_HEADER + "\n" + "".join(self.SWEEP_MC_DP_ROWS)
 
     @pytest.mark.parametrize("raw,workers", [(None, 1), ("0", 0), ("1", 1), ("3", 3)])
     def test_thread_env_passes_the_count_on(self, monkeypatch, raw, workers):

@@ -10,7 +10,9 @@ from zebraperc import RootMode, TreeParams, montecarlo
 from zebraperc.analytic import zebra_critical_pair
 from zebraperc.kernel import (
     COUNT_LANES,
+    GROUP,
     TRIAL_BATCH,
+    OpenTable,
     Rounds,
     lane_flags,
     lane_keys,
@@ -153,7 +155,7 @@ class TestLanes:
         params = TreeParams(3)
         streams = [TrialStream(11, t) for t in range(20)]
         keys = array("Q", [ROOT_KEY, MASK, 0] + [random.Random(t).getrandbits(64) for t in range(17)])
-        lanes = Rounds(p, 4 * len(keys), (params.k,)).expand(
+        lanes = Rounds(p).expand(
             keys, array("Q", [s.base for s in streams]), params.k)
         want_keys = [child_key(key, i) for key in keys for i in range(params.k)]
         want_flags = [int(s.is_open(child_key(key, i), p))
@@ -201,7 +203,7 @@ class TestAgainstRecursiveSearch:
             bases = array("Q", [s.base for s in streams])
             opened = ray_hits(params, p, n, bases, alternate=False)
             zebra = ray_hits(params, p, n, bases, alternate=True)
-            counts = zebra_counts(params, p, n, bases)
+            [counts] = zebra_counts(params, [p], n, bases)
             for s in streams:
                 assert (s.base in opened) == ref_open_ray(params, p, n, s)
                 assert (s.base in zebra) == ref_zebra_ray(params, p, n, s)
@@ -215,15 +217,74 @@ class TestAgainstRecursiveSearch:
                 for p in (0.2, 0.5, 0.7):
                     assert bool(ray_hits(params, p, 6, [s.base], False)) is ref_open_ray(params, p, 6, s)
                     assert bool(ray_hits(params, p, 6, [s.base], True)) is ref_zebra_ray(params, p, 6, s)
-                    assert zebra_counts(params, p, 6, [s.base])[s.base] == ref_zebra_count(params, p, 6, s)
+                    assert zebra_counts(params, [p], 6, [s.base])[0][s.base] == ref_zebra_count(params, p, 6, s)
 
     def test_count_pool_larger_than_a_round(self):
         params, p, n = TreeParams(3), 0.5, 8
         bases = bases_of(2, 300)
-        counts = zebra_counts(params, p, n, bases)
+        [counts] = zebra_counts(params, [p], n, bases)
         assert sum(counts.values()) > 4 * COUNT_LANES
         for t in range(300):
             assert counts.get(bases[t], 0) == ref_zebra_count(params, p, n, TrialStream(2, t))
+
+
+#: Eight probabilities for one grouped walk: p = 0 (threshold 0, no undecided
+#: byte), p = 1, a repeated p, two thresholds in one top byte, and thresholds
+#: just below a byte boundary, 2**56 - 4 at p = 2**-8 and 2**63 - 512 at p = 1/2.
+GROUP_PS = (0.0, 1.0, 0.6, 0.6, 0.3, 0.3 + 1e-9, 2.0**-8, 0.5)
+
+
+class TestGroupedWalk:
+    """One walk for a group of probabilities counts each p as its own walk does."""
+
+    @pytest.mark.parametrize("params", [TreeParams(k, mode) for k in (2, 3, 4) for mode in RootMode])
+    def test_group_equals_one_point_walks(self, params):
+        assert len(GROUP_PS) == GROUP
+        for n in range(1, 9):
+            bases = bases_of(n, 12)
+            group = zebra_counts(params, GROUP_PS, n, bases)
+            assert group == [zebra_counts(params, [p], n, bases)[0] for p in GROUP_PS]
+            assert group[2] == group[3]
+
+    @pytest.mark.parametrize("params", [TreeParams(3), TreeParams(2, RootMode.FULL_CAYLEY)])
+    def test_one_point_walks_match_the_reference(self, params):
+        for n in (1, 4, 7):
+            streams = [TrialStream(n, t) for t in range(12)]
+            for p in GROUP_PS:
+                [counts] = zebra_counts(params, [p], n, [s.base for s in streams])
+                for s in streams:
+                    assert counts.get(s.base, 0) == ref_zebra_count(params, p, n, s)
+
+    def test_thresholds_of_the_group(self):
+        y = [open_threshold(p) for p in GROUP_PS]
+        assert y[0] == 0 and y[6] == 2**56 - 4 and y[7] == 2**63 - 512
+        assert y[4] >> 56 == y[5] >> 56 and y[4] < y[5]
+
+    def test_table_and_fix_up_match_is_open(self):
+        """Bit j of the group's open bits, at the words around each threshold y and
+        at the ends of its undecided byte t, is TrialStream.is_open at GROUP_PS[j]."""
+        stream = TrialStream(8, 2)
+        words = set()
+        for y in map(open_threshold, GROUP_PS):
+            t = y >> 56
+            words.update(w for w in (y - 1, y, t << 56, ((t + 1) << 56) - 1) if 0 <= w <= MASK)
+        words = sorted(words)
+        keys = [stream.base ^ unmix64(w) for w in words]
+        lanes = b"".join(key.to_bytes(8, "little") + w.to_bytes(8, "little")
+                         for key, w in zip(keys, words))
+        bits = OpenTable(GROUP_PS)(lanes)
+        for i, key in enumerate(keys):
+            for j, p in enumerate(GROUP_PS):
+                assert bool(bits[i] >> j & 1) is stream.is_open(key, p), (hex(words[i]), p)
+
+    @pytest.mark.parametrize("ps", [[], [0.5] * (GROUP + 1)])
+    def test_group_width(self, ps):
+        with pytest.raises(ValueError, match="a group holds 1 to 8"):
+            zebra_counts(TreeParams(3), ps, 2, bases_of(0, 3))
+
+    def test_no_trials(self):
+        assert zebra_counts(TreeParams(3), GROUP_PS, 3, []) == [{}] * GROUP
+        assert ray_hits(TreeParams(3), 0.5, 3, [], alternate=True) == set()
 
 
 class TestStoppedSearch:

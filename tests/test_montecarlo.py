@@ -57,7 +57,7 @@ def zebra_hit(params, p, n, stream):
 
 
 def zebra_number(params, p, n, stream):
-    return zebra_counts(params, p, n, [stream.base])[stream.base]
+    return zebra_counts(params, [p], n, [stream.base])[0][stream.base]
 
 
 class TestSamplers:
