@@ -24,14 +24,12 @@ _EXPORTS = {
     "montecarlo": (
         "Estimate", "EventKind", "EventSpec", "NoBracketError",
         "brute_force_probability", "estimate_event", "find_critical_dp", "find_critical_mc",
-        "open_ray", "sample_sigma", "wilson_interval", "zebra_count", "zebra_ray",
+        "open_ray", "sample_tables", "wilson_interval", "zebra_count", "zebra_ray",
     ),
     "params": ("FIXED_POINT_CONFIG", "LIMIT_CONFIG", "RootMode", "SolverConfig", "TreeParams"),
     "rng": ("TrialStream", "derive_seed"),
     "tree": (
-        "EdgeState", "InvalidHatEdgeError", "OddDepthError", "PhiConfig", "PhiValue",
-        "SigmaConfig", "TooLargeError", "children", "dump_sigma", "enumerate_configs",
-        "hat_edge_decompose", "level_size", "load_sigma", "phi_of_sigma",
+        "InvalidHatEdgeError", "TooLargeError", "children", "hat_edge_decompose", "level_size",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -290,6 +290,7 @@ def _grid_estimates(params: TreeParams, ps: list[float]):
     point's option checks first, and a run without mc points imports nothing."""
     with contextlib.ExitStack() as stack:
         done, opened = {}, []
+        first = {p: i for i, p in reversed(list(enumerate(ps)))}  # a p's first grid position
 
         def estimate(p, event, trials, seed):
             from . import kernel, montecarlo
@@ -300,7 +301,7 @@ def _grid_estimates(params: TreeParams, ps: list[float]):
                 return opened[0](fn, jobs)
 
             if p not in done:
-                group = ps[ps.index(p):][:kernel.GROUP]
+                group = ps[first[p]:first[p] + kernel.GROUP]
                 done.update(zip(group, montecarlo.estimate_grid(
                     params, group, event, trials, seed, _workers_from_env(), run)))
             return done[p]
@@ -439,30 +440,32 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
     if rc["input"]:
         try:
             with open(rc["input"], "r", encoding="utf-8") as fh:
-                sigma = tree.load_sigma(fh.read(), params)
+                depth, tables = tree.load_tables(fh.read(), params)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"--input: {exc}") from exc
-        if sigma.depth != depth:
-            depth = sigma.depth
-            if depth % 2 or depth > 6:
-                raise ConfigError(f"--input: fixture depth {depth} unsupported")
+        if depth % 2 or depth > 6:
+            raise ConfigError(f"--input: fixture depth {depth} unsupported")
     else:
         p, seed = _check_prob(rc, "p"), _check_int(rc, "seed", 0)
-        sigma = montecarlo.sample_sigma(params, depth, p, TrialStream(seed, 0))
-    phi = tree.phi_of_sigma(params, sigma)
-    m = phi.depth
-    witnesses = (
-        ("zebra-open", tree.zebra_ray_witness(params, sigma, 2 * m, tree.EdgeState.OPEN)),
-        ("zebra-closed", tree.zebra_ray_witness(params, sigma, 2 * m, tree.EdgeState.CLOSED)),
-        ("plus", tree.signed_path_witness(params, phi, m, tree.PhiValue.PLUS)),
-        ("minus", tree.signed_path_witness(params, phi, m, tree.PhiValue.MINUS)),
+        tables = montecarlo.sample_tables(params, depth, p, [TrialStream(seed, 0).base])
+    m = depth // 2
+    (edge_list, roots, below), (hat_edges, hat_roots, hat_below), image = \
+        tree.pair_transform(params, m)
+    plus, minus = image(tables)
+    witnesses = (  # start 1 or 0: a path may begin on that edge in the one configuration or not
+        ("zebra-open", edge_list, tree.reach(below, [(j, tables[j]) for j in roots], tables, True)),
+        ("zebra-closed", edge_list,
+         tree.reach(below, [(j, 1 ^ tables[j]) for j in roots], tables, True)),
+        ("plus", hat_edges, tree.reach(hat_below, [(j, 1) for j in hat_roots], plus, False)),
+        ("minus", hat_edges, tree.reach(hat_below, [(j, 1) for j in hat_roots], minus, False)),
     )
     with _writer(rc["output"]) as line:
-        line(f"# sigma k={params.k} root_mode={params.root_mode} depth={sigma.depth}")
-        line(tree.dump_sigma(sigma).rstrip("\n"))
+        line(f"# sigma k={params.k} root_mode={params.root_mode} depth={depth}")
+        line(tree.config_text(edge_list, ("CO"[t] for t in tables)))
         line(f"# phi depth={m}")
-        line(tree.dump_phi(phi).rstrip("\n"))
-        for label, witness in witnesses:
+        line(tree.config_text(hat_edges, ("0+-"[u + 2 * v] for u, v in zip(plus, minus))))
+        for label, path_edges, ends in witnesses:
+            witness = tree.first_path(path_edges, ends)
             path = "none" if witness is None else " ".join(map(tree.format_address, witness))
             line(f"# witness {label}: {path}")
     return 0

@@ -28,7 +28,6 @@ import math
 import os
 from collections import namedtuple
 
-from . import tree
 from .analytic import CriticalPair, zebra_limit
 from .params import (
     BISECTION_TOL,
@@ -38,7 +37,10 @@ from .params import (
     TreeParams,
     check_probability,
 )
-from .rng import TrialStream, derive_seed, vertex_key
+from .rng import derive_seed, vertex_key
+
+# kernel and tree are imported by the functions that use them, so that a
+# command loads only the layers it runs.
 
 #: Open flags (bytes 0 and 1) as binary digits.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -117,22 +119,12 @@ def sample_tables(params: TreeParams, depth: int, p: float, bases: list[int]) ->
     depth) in the trial with base word bases[t], drawn from its address key by
     the rng contract, as the kernel's walks draw it.
     """
-    from . import kernel
+    from . import kernel, tree
 
     keys = list(map(vertex_key, tree.edges(params, depth)))
     n = len(keys)
     digits = kernel.edge_flags(p, keys, bases).translate(_DIGITS)
     return [int(digits[j::n][::-1], 2) for j in range(n)]
-
-
-def sample_sigma(params: TreeParams, depth: int, p: float, stream: TrialStream) -> tree.SigmaConfig:
-    """A full bond configuration of the depth-truncation as a dict, the input/output form of
-    sample_tables for the one trial of `stream`."""
-    check_probability(p)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    tables = sample_tables(params, depth, p, [stream.base])
-    return tree.SigmaConfig(depth, dict(zip(tree.edges(params, depth), map(tree.EdgeState, tables))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +357,8 @@ def _multiplicity_planes(params: TreeParams, event: EventSpec, n_edges: int, bit
     of the multiplicity of code c, 1 or 0 for a ray event and the number of
     zebra-connected last-level edges for the counting event.
     """
+    from . import tree
+
     _, roots, below = tree.edge_lists(params, event.depth)
     low = _block_tables(bits)
     full = (1 << (1 << bits)) - 1
@@ -398,12 +392,14 @@ def brute_force_probability(
     b**n, so the multiplicities, tallied as integers by h, make one integer
     numerator over b**n, divided once.
 
-    Configuration `code` runs over 0 .. 2**n - 1, bit j of `code` (least
-    significant first) holding the state, 1 open, of edge j of tree.edges (the
-    order of tree.enumerate_configs). The truth tables of a block of codes go
-    through tree.reach in one big-int step per edge (_multiplicity_planes),
-    and the multiplicities are tallied by popcount class.
+    Configuration `code` runs over 0 .. 2**n - 1 in counting order, bit j of
+    `code` (least significant first) holding the state, 1 open, of edge j of
+    tree.edges. The truth tables of a block of codes go through tree.reach in
+    one big-int step per edge (_multiplicity_planes), and the multiplicities
+    are tallied by popcount class.
     """
+    from . import tree
+
     check_probability(p)
     n_edges = tree.check_enumerable(params, event.depth)
     bits = min(n_edges, ORACLE_BLOCK_BITS)

@@ -1,23 +1,21 @@
 """Configurations of truncated rooted trees as truth tables, and the even-level pair transform.
 
 A vertex is a tuple of child indices (the root is the empty tuple) and an edge
-is identified by its lower endpoint. Configurations are computed on as truth
-tables, one int per edge j of edges(params, depth) whose bit c is the edge's
-state, 1 open, in configuration c; reach applies the path rule to all of them
-at once, walking the child-edge indices of edge_lists. SigmaConfig and
-PhiConfig, dicts from address to state, are input/output only: what
-enumerate_configs and montecarlo.sample_sigma return, what dump_*/load_sigma
-write and read.
+is identified by its lower endpoint. A configuration set is one truth table
+per edge j of edges(params, depth), an int whose bit c is the edge's state, 1
+open, in configuration c; reach applies the path rule to all of them at once,
+walking the child-edge indices of edge_lists. A single configuration is a set
+of one-bit tables, as load_tables reads it and config_text writes it.
 
 The transform maps bond configurations on the order-k tree to signed
 configurations on the tree over its even levels, whose interior branching
 order is k^2; each transformed edge covers two consecutive base edges. On
-truth tables the image is two tables per transformed edge, plus and minus.
+truth tables the image is two tables per transformed edge, plus and minus
+(pair_transform).
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator
@@ -34,39 +32,6 @@ MAX_ENUM_EDGES = 22
 
 class InvalidHatEdgeError(ValueError):
     """The vertex pair is not an edge of the transformed tree."""
-
-
-class OddDepthError(ValueError):
-    """The transform is defined on even-depth truncations only."""
-
-
-class EdgeState(enum.IntEnum):
-    CLOSED = 0
-    OPEN = 1
-
-
-class PhiValue(enum.IntEnum):
-    MINUS = -1
-    ZERO = 0
-    PLUS = 1
-
-
-class SigmaConfig(namedtuple("SigmaConfig", "depth states")):
-    """Bond states over every edge of a depth-truncated tree.
-
-    depth: int; states: dict[Address, EdgeState].
-    """
-
-    __slots__ = ()
-
-
-class PhiConfig(namedtuple("PhiConfig", "depth values")):
-    """Signed pair states over every edge of the depth-truncated transformed tree.
-
-    depth: int; values: dict[Address, PhiValue].
-    """
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +112,6 @@ def hat_to_base(params: TreeParams, hv: Address) -> Address:
     return tuple(out)
 
 
-def base_to_hat(params: TreeParams, v: Address) -> Address:
-    """Inverse of hat_to_base; requires an even-level base address."""
-    if len(v) % 2:
-        raise OddDepthError(f"even base level required, got level {len(v)}")
-    k = params.k
-    return tuple(v[i] * k + v[i + 1] for i in range(0, len(v), 2))
-
-
 def hat_edge_decompose(params: TreeParams, x: Address, z: Address) -> tuple[Address, Address]:
     """Split the transformed edge (x, z) into its two consecutive base edges.
 
@@ -197,21 +154,6 @@ def check_enumerable(params: TreeParams, depth: int) -> int:
     return n_edges
 
 
-def enumerate_configs(params: TreeParams, depth: int) -> Iterator[SigmaConfig]:
-    """Yield every bond configuration of the depth-truncation exactly once, as dicts.
-
-    The configurations are the codes 0 .. 2**edge_count - 1 in increasing
-    order, each turned into its SigmaConfig: code bit j (least significant
-    first) is the state, 1 open, of edge j of edges(params, depth). The
-    code-th configuration yielded is configuration `code` of the brute-force
-    oracle's truth tables. Raises TooLargeError past MAX_ENUM_EDGES edges.
-    """
-    check_enumerable(params, depth)
-    edge_list = edges(params, depth)
-    for code in range(1 << len(edge_list)):
-        yield SigmaConfig(depth, {e: EdgeState(code >> j & 1) for j, e in enumerate(edge_list)})
-
-
 def reach(below: list[list[int]], start, tables, alternate: bool) -> list[tuple[int, int]]:
     """The last-level edges that some path from the root reaches by the rule, and in which configurations.
 
@@ -248,6 +190,27 @@ def _base_pair(params: TreeParams, hv: Address) -> tuple[Address, Address]:
     return hat_edge_decompose(params, hat_to_base(params, hv[:-1]), hat_to_base(params, hv))
 
 
+def pair_transform(params: TreeParams, m: int):
+    """The depth-2m truncation, its depth-m image and the map between their truth tables.
+
+    Returns edge_lists(params, 2m), edge_lists(hat_shape(params), m) and
+    image(tables), which maps one table per base edge to a plus and a minus
+    table per transformed edge: + where its base pair (_base_pair) is (open,
+    closed), - where it is (closed, open). The pair indices are built once, here.
+    """
+    if m < 1:
+        raise ValueError(f"half-depth must be >= 1, got {m}")
+    base, hat = edge_lists(params, 2 * m), edge_lists(hat_shape(params), m)
+    index = dict(zip(base[0], itertools.count()))
+    pairs = [[index[e] for e in _base_pair(params, hv)] for hv in hat[0]]
+
+    def image(tables) -> tuple[list[int], list[int]]:
+        return ([tables[u] & ~tables[v] for u, v in pairs],
+                [tables[v] & ~tables[u] for u, v in pairs])
+
+    return base, hat, image
+
+
 def transform_check(params: TreeParams, m: int):
     """The alternating-ray / constant-sign-path correspondence as a test on depth-2m truth tables.
 
@@ -255,20 +218,13 @@ def transform_check(params: TreeParams, m: int):
     c the edge's state in configuration c, and `full`, the configurations
     checked. It returns the configurations where an alternating ray of length
     2m whose first edge is open exists and a length-m all-plus path in the
-    image does not, or the other way round, and likewise closed/minus. A
-    transformed edge is + where its base pair (_base_pair) is (open, closed)
-    and - where it is (closed, open). The indices are built once, here.
+    image (pair_transform) does not, or the other way round, and likewise
+    closed/minus.
     """
-    if m < 1:
-        raise ValueError(f"half-depth must be >= 1, got {m}")
-    edge_list, roots, below = edge_lists(params, 2 * m)
-    hat_edges, hat_roots, hat_below = edge_lists(hat_shape(params), m)
-    index = dict(zip(edge_list, itertools.count()))
-    pairs = [[index[e] for e in _base_pair(params, hv)] for hv in hat_edges]
+    (_, roots, below), (_, hat_roots, hat_below), image = pair_transform(params, m)
 
     def failures(tables, full: int) -> int:
-        plus = [tables[u] & ~tables[v] for u, v in pairs]
-        minus = [tables[v] & ~tables[u] for u, v in pairs]
+        plus, minus = image(tables)
         bad = 0
         for first, signed in (([tables[j] for j in roots], plus),
                               ([full & ~tables[j] for j in roots], minus)):
@@ -280,86 +236,17 @@ def transform_check(params: TreeParams, m: int):
     return failures
 
 
-def phi_of_sigma(params: TreeParams, sigma: SigmaConfig) -> PhiConfig:
-    """Image of a bond configuration on the transformed tree, as a dict.
-
-    Each transformed edge takes the state of its upper base edge minus that of
-    its lower one: + for (open, closed), - for (closed, open), 0 otherwise.
-    """
-    if sigma.depth % 2:
-        raise OddDepthError(f"even depth required, got {sigma.depth}")
-    m = sigma.depth // 2
-    values = {}
-    for hv in edges(hat_shape(params), m):
-        upper, lower = _base_pair(params, hv)
-        values[hv] = PhiValue(sigma.states[upper] - sigma.states[lower])
-    return PhiConfig(depth=m, values=values)
-
-
-# ---------------------------------------------------------------------------
-# path witnesses and counts on explicit configurations
-
-def _ends(shape, length: int, depth: int, labels: dict, label, first,
-          alternate: bool) -> list[Address]:
-    """The last-level edges, in child order, of the length-`length` paths that follow reach's rule.
-
-    The configuration has depth `depth`; an edge is set when it carries
-    `label`, and `first`, 1 or 0, pins the first edge as set or clear. Raises
-    ValueError unless 1 <= length <= depth.
-    """
-    if length < 1:
-        raise ValueError(f"path length must be >= 1, got {length}")
-    if length > depth:
-        raise ValueError(f"path length {length} exceeds the configuration depth {depth}")
-    edge_list, roots, below = edge_lists(shape, length)
-    tables = [int(labels[e] is label) for e in edge_list]
-    start = [(j, 1 if first is None else int(tables[j] == first)) for j in roots]
-    return [edge_list[j] for j, _ in reach(below, start, tables, alternate)]
-
-
-def _witness(*args) -> list[Address] | None:
-    """Vertices of the first of _ends' paths, or None."""
-    ends = _ends(*args)
-    return [ends[0][:n] for n in range(1, len(ends[0]) + 1)] if ends else None
-
-
-def open_ray_witness(params: TreeParams, sigma: SigmaConfig, length: int) -> list[Address] | None:
-    """Vertices of one descending all-open path of the given length, or None."""
-    return _witness(params, length, sigma.depth, sigma.states, EdgeState.OPEN, None, False)
-
-
-def zebra_ray_witness(
-    params: TreeParams,
-    sigma: SigmaConfig,
-    length: int,
-    first: EdgeState | None = None,
-) -> list[Address] | None:
-    """Vertices of one descending alternating path, or None.
-
-    `first` pins the state of the first edge; None admits either state.
-    """
-    return _witness(params, length, sigma.depth, sigma.states, EdgeState.OPEN, first, True)
-
-
-def signed_path_witness(
-    params: TreeParams, phi: PhiConfig, length: int, sign: PhiValue
-) -> list[Address] | None:
-    """Descending constant-`sign` path of the given length in a transformed config."""
-    return _witness(hat_shape(params), length, phi.depth, phi.values, sign, None, False)
-
-
-def zebra_connected_count(params: TreeParams, sigma: SigmaConfig, depth: int) -> int:
-    """Number of depth-`depth` vertices whose root path alternates open/closed."""
-    return len(_ends(params, depth, sigma.depth, sigma.states, EdgeState.OPEN, None, True))
+def first_path(edge_list: list[Address], ends: list[tuple[int, int]]) -> list[Address] | None:
+    """The vertices, nearest the root first, of the path to the first edge that reach
+    reached, in child order, or None when it reached none."""
+    if not ends:
+        return None
+    end = edge_list[ends[0][0]]
+    return [end[:n] for n in range(1, len(end) + 1)]
 
 
 # ---------------------------------------------------------------------------
 # serialization: one line per edge, "address,state", slash-separated indices
-
-_STATE_CHARS = {EdgeState.OPEN: "O", EdgeState.CLOSED: "C"}
-_CHAR_STATES = {"O": EdgeState.OPEN, "C": EdgeState.CLOSED}
-_PHI_CHARS = {PhiValue.PLUS: "+", PhiValue.ZERO: "0", PhiValue.MINUS: "-"}
-
 
 def format_address(v: Address) -> str:
     return "/".join(str(i) for i in v)
@@ -376,47 +263,41 @@ def parse_address(text: str) -> Address:
     return addr
 
 
-def dump_sigma(sigma: SigmaConfig) -> str:
-    lines = [
-        f"{format_address(e)},{_STATE_CHARS[sigma.states[e]]}"
-        for e in sorted(sigma.states)
-    ]
-    return "\n".join(lines) + "\n"
+def config_text(edge_list: list[Address], states) -> str:
+    """One "address,state" line per edge of edge_list, each with its state character, in order."""
+    return "\n".join(f"{format_address(e)},{c}" for e, c in zip(edge_list, states))
 
 
-def dump_phi(phi: PhiConfig) -> str:
-    lines = [
-        f"{format_address(e)},{_PHI_CHARS[phi.values[e]]}" for e in sorted(phi.values)
-    ]
-    return "\n".join(lines) + "\n"
+def load_tables(text: str, params: TreeParams) -> tuple[int, list[int]]:
+    """Parse "address,O|C" lines into the depth of their truncation and its one-bit tables.
 
-
-def load_sigma(text: str, params: TreeParams) -> SigmaConfig:
-    """Parse a serialized configuration and validate it against the edge set."""
-    states: dict[Address, EdgeState] = {}
+    The edges must be those of a depth-truncation, each listed once, in any
+    order; table j is the state, 1 open, of edge j of edges(params, depth).
+    """
+    states: dict[Address, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         addr_text, sep, state_text = line.partition(",")
-        if not sep or state_text not in _CHAR_STATES:
+        if not sep or state_text not in ("O", "C"):
             raise ValueError(f"line {lineno}: expected 'address,O|C', got {raw!r}")
         addr = parse_address(addr_text)
         if addr in states:
             raise ValueError(f"line {lineno}: duplicate edge {addr_text}")
-        states[addr] = _CHAR_STATES[state_text]
+        states[addr] = int(state_text == "O")
     if not states:
         raise ValueError("no edges found")
     depth = max(len(a) for a in states)
     if len(states) != edge_count(params, depth):  # before the truncation's edges are listed
         raise ValueError(f"{len(states)} edges, but the depth-{depth} truncation has "
                          f"{edge_count(params, depth)}")
-    expected = set(edges(params, depth))
-    if set(states) != expected:
-        missing = sorted(expected - set(states))[:3]
-        extra = sorted(set(states) - expected)[:3]
+    edge_list = edges(params, depth)
+    if set(states) != set(edge_list):
+        missing = sorted(set(edge_list) - set(states))[:3]
+        extra = sorted(set(states) - set(edge_list))[:3]
         raise ValueError(
             f"edge set does not match the depth-{depth} truncation "
             f"(missing e.g. {missing}, extra e.g. {extra})"
         )
-    return SigmaConfig(depth=depth, states=states)
+    return depth, [states[e] for e in edge_list]

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -11,6 +13,7 @@ import zebraperc
 from zebraperc import TreeParams, cli, verify, zebra_critical_pair
 from zebraperc.analytic import NonConvergenceError
 from zebraperc.cli import CSV_HEADER, main
+from zebraperc.tree import edges
 
 
 def run_cli(capsys, argv):
@@ -313,6 +316,19 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 6
 
+    def test_groups_found_without_a_grid_search(self, capsys, monkeypatch):
+        """Each group's first grid position is looked up, not searched for."""
+        class Unsearchable(list):
+            def index(self, *args):
+                raise AssertionError("the grid was searched")
+
+        grid = cli._grid
+        monkeypatch.setattr(cli, "_grid", lambda *args: Unsearchable(grid(*args)))
+        monkeypatch.delenv("ZEBRA_PERC_THREADS", raising=False)
+        code, out, _ = run_cli(capsys, TestThreadEnvironment.SWEEP_MC_DP)
+        assert code == 0
+        assert out == CSV_HEADER + "\n" + TestThreadEnvironment.SWEEP_MC_DP_ROWS
+
     def test_unknown_method(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--k", "2", "--methods", "magic"])
         assert code == 2
@@ -436,7 +452,92 @@ class TestOracleOutput:
         assert run_cli(capsys, command)[:2] == run_cli(capsys, command + ["--exact"])[:2]
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+#: sha256 of transform-demo's stdout at seeds 0-9, concatenated in seed order,
+#: by k, root mode and depth.
+DEMO_SHA256 = {
+    (2, "rooted-k", 2): "3e200e8d8096232177c2ab1b63eaaab29a500fb62ac6e1384cc747bcc78ed314",
+    (2, "rooted-k", 4): "199a1347bed8e4bea03a84049fbf10802ed2777c286c3ac713fdc82c50fb8573",
+    (2, "rooted-k", 6): "1e53c7126d149ba0a8f2e19d1e43bd42b56926bf9091694790b391e7aa4bd9bf",
+    (2, "full-cayley", 2): "ef9a91f8deaa42af4087a5dd2120c7b82fb83f2eaabaf967edb837fcedc02eeb",
+    (2, "full-cayley", 4): "e60e6f1a91d895e702bb36c8befd215f575d17fbcc793720b5d82d198bd56c93",
+    (2, "full-cayley", 6): "399102126f90c676e619f5fa056e241b8418080451bebe9714fbd6fa11fcce7a",
+    (3, "rooted-k", 2): "614d5dc8aabbba9a7eb9a66f517c5383913bb274241b4c73a3acc73af4e7ae85",
+    (3, "rooted-k", 4): "b7f54be355096a8c3e281916f79ba0ccf6c575596800abc57b5fc43472c29f8b",
+    (3, "rooted-k", 6): "9e6fe8241240a227bfac5198cd3da94976afff3605966b089ece55cb3bc42c44",
+    (3, "full-cayley", 2): "8b1fdde42f8df5ccb20eeb0d472697bdff590d6750a865a0f1368b03a03330c2",
+    (3, "full-cayley", 4): "752cb3ee635e5a808eb23cb39a5bdf29f021a68a1f611010dc856028a0799451",
+    (3, "full-cayley", 6): "f0575f83d0bb448c9b30f6b7dae7bd547d6789433be87f28aa72970254c2e190",
+}
+
+
+def _lines(edge_list, state):
+    return "".join(f"{'/'.join(map(str, e))},{state}\n" for e in edge_list)
+
+
+def _demo_config(depth):
+    return ('config: {"depth": %d, "input": "fixture.sigma", "k": 2, "output": null, '
+            '"p": 0.5, "root_mode": "rooted-k", "seed": 0}' % depth)
+
+
+#: transform-demo --k 2 --input fixture.sigma: extra flags and fixture text, then
+#: the exit code, stdout and last stderr line.
+DEMO_INPUTS = {
+    "all-open": (["--depth", "2"], _lines(edges(TreeParams(2), 2), "O"), 0,
+                 "# sigma k=2 root_mode=rooted-k depth=2\n"
+                 + _lines(edges(TreeParams(2), 2), "O")
+                 + "# phi depth=1\n0,0\n1,0\n2,0\n3,0\n"
+                 + "".join(f"# witness {w}: none\n"
+                           for w in ("zebra-open", "zebra-closed", "plus", "minus")),
+                 _demo_config(2)),
+    "too-deep": ([], "/".join(["0"] * 40) + ",O\n", 2, "",
+                 "error: --input: 1 edges, but the depth-40 truncation has 2199023255550"),
+    "incomplete-domain": ([], "0,O\n", 2, "",
+                          "error: --input: 1 edges, but the depth-1 truncation has 2"),
+    "duplicate-edge": ([], "0,O\n0,C\n1,O\n", 2, "",
+                       "error: --input: line 2: duplicate edge 0"),
+    "bad-line": ([], "0,X\n1,O\n", 2, "",
+                 "error: --input: line 1: expected 'address,O|C', got '0,X'"),
+    "odd-depth": ([], "0,O\n1,C\n", 2, "", "error: --input: fixture depth 1 unsupported"),
+    "bad-address": ([], "0/x,O\n1,O\n", 2, "", "error: --input: bad address '0/x'"),
+    "no-edges": ([], "# nothing here\n\n", 2, "", "error: --input: no edges found"),
+    "wrong-edge-set": ([], "0,O\n2,O\n", 2, "",
+                       "error: --input: edge set does not match the depth-1 truncation "
+                       "(missing e.g. [(1,)], extra e.g. [(2,)])"),
+    "depth-8": ([], _lines(edges(TreeParams(2), 8), "O"), 2, "",
+                "error: --input: fixture depth 8 unsupported"),
+    "alternating-ray": ([], (DATA / "zebra-ray.sigma").read_text(), 0,
+                        (DATA / "zebra-ray.out").read_text(), _demo_config(4)),
+}
+
+
 class TestTransformDemo:
+    @pytest.mark.parametrize("k,mode,depth", list(DEMO_SHA256))
+    def test_sampled_stdout_is_pinned(self, capsys, k, mode, depth):
+        digest = hashlib.sha256()
+        for seed in range(10):
+            argv = ["transform-demo", "--k", str(k), "--depth", str(depth), "--seed", str(seed)]
+            code, out, _ = run_cli(capsys, argv + ["--full-cayley"] * (mode == "full-cayley"))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == DEMO_SHA256[k, mode, depth]
+
+    def test_sampled_stdout_is_the_committed_file(self, capsys):
+        code, out, _ = run_cli(capsys, ["transform-demo", "--k", "3", "--full-cayley",
+                                        "--depth", "4", "--seed", "5"])
+        assert code == 0
+        assert out == (DATA / "demo-k3-full-cayley-depth4-seed5.out").read_text()
+
+    @pytest.mark.parametrize("name", list(DEMO_INPUTS))
+    def test_input_is_pinned(self, capsys, monkeypatch, tmp_path, name):
+        flags, text, want_code, want_out, want_err = DEMO_INPUTS[name]
+        (tmp_path / "fixture.sigma").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["transform-demo", "--k", "2", *flags,
+                                          "--input", "fixture.sigma"])
+        assert (code, out, err.splitlines()[-1]) == (want_code, want_out, want_err)
+
     def test_sampled_dump(self, capsys):
         code, out, _ = run_cli(capsys, ["transform-demo", "--k", "2", "--depth", "4",
                                         "--seed", "3"])
@@ -449,13 +550,8 @@ class TestTransformDemo:
         assert out2 == out
 
     def test_all_open_fixture(self, capsys, tmp_path):
-        from zebraperc import TreeParams
-        from zebraperc.tree import EdgeState, SigmaConfig, dump_sigma, edges
-
-        params = TreeParams(2)
-        sigma = SigmaConfig(2, {e: EdgeState.OPEN for e in edges(params, 2)})
         fixture = tmp_path / "allopen.sigma"
-        fixture.write_text(dump_sigma(sigma))
+        fixture.write_text(_lines(edges(TreeParams(2), 2), "O"))
         code, out, _ = run_cli(capsys, ["transform-demo", "--k", "2", "--depth", "2",
                                         "--input", str(fixture)])
         assert code == 0
@@ -665,6 +761,23 @@ class TestStartup:
         ["sweep", "--k", "3", "--methods", "fixed-point,relation", "--steps", "3"],
     ])
     def test_analytic_command_loads_only_the_analytic_layers(self, argv):
+        loaded = self.loaded_modules(argv)
+        assert "zebraperc.analytic" in loaded
+        assert sorted(loaded.intersection(self.ANALYTIC_UNUSED)) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--mode", "zebra-mc", "--k", "3", "--depth", "8", "--trials", "100"],
+        ["eval", "--k", "3", "--p", "0.4", "--method", "mc", "--event", "zebra-count",
+         "--depth", "4", "--trials", "100"],
+    ])
+    def test_mc_command_leaves_the_tree_unloaded(self, argv):
+        loaded = self.loaded_modules(argv)
+        assert "zebraperc.kernel" in loaded
+        assert "zebraperc.tree" not in loaded
+
+    @staticmethod
+    def loaded_modules(argv) -> set:
+        """The modules loaded once the command has run in a fresh interpreter."""
         code = ("import json, runpy, sys\n"
                 f"sys.argv = ['zebraperc', *{argv!r}]\n"
                 "try:\n"
@@ -675,9 +788,7 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=child_env())
         assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-        assert "zebraperc.analytic" in loaded
-        assert sorted(loaded.intersection(self.ANALYTIC_UNUSED)) == []
+        return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 class TestThreadEnvironment:

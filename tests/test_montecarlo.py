@@ -25,23 +25,13 @@ from zebraperc.montecarlo import (
     find_critical_mc,
     mc_indicator_threshold,
     open_ray,
-    sample_sigma,
     sample_tables,
     wilson_interval,
     zebra_count,
     zebra_ray,
 )
 from zebraperc.rng import TrialStream
-from zebraperc.tree import (
-    EdgeState,
-    TooLargeError,
-    edge_count,
-    enumerate_configs,
-    open_ray_witness,
-    transform_check,
-    zebra_connected_count,
-    zebra_ray_witness,
-)
+from zebraperc.tree import TooLargeError, edge_count, edges, transform_check
 
 P2 = TreeParams(2)
 P3 = TreeParams(3)
@@ -82,16 +72,13 @@ class TestSamplers:
     def test_lazy_agrees_with_materialized_config(self, trial):
         p = 0.35
         for params in (P3, TreeParams(2, RootMode.FULL_CAYLEY)):
-            sigma = sample_sigma(params, 4, p, TrialStream(5, trial))
-            assert zebra_hit(params, p, 4, TrialStream(5, trial)) == (
-                zebra_ray_witness(params, sigma, 4) is not None
-            )
-            assert open_hit(params, p, 4, TrialStream(5, trial)) == (
-                open_ray_witness(params, sigma, 4) is not None
-            )
-            assert zebra_number(params, p, 4, TrialStream(5, trial)) == (
-                zebra_connected_count(params, sigma, 4)
-            )
+            edge_list = edges(params, 4)
+            states = dict(zip(edge_list, sample_tables(params, 4, p, [TrialStream(5, trial).base])))
+            paths = [[states[v[:i]] for i in range(1, 5)] for v in edge_list if len(v) == 4]
+            zebra = sum(all(a != b for a, b in zip(s, s[1:])) for s in paths)
+            assert zebra_hit(params, p, 4, TrialStream(5, trial)) == (zebra > 0)
+            assert open_hit(params, p, 4, TrialStream(5, trial)) == any(all(s) for s in paths)
+            assert zebra_number(params, p, 4, TrialStream(5, trial)) == zebra
 
 
 class TestWilson:
@@ -162,27 +149,29 @@ class TestEstimators:
 def witness_sum(params, p, event):
     """The oracle's exact sum the long way: explicit configurations, each path judged in the test.
 
-    Each last-level address's root path is read from sigma.states. The
+    Configuration `code` opens edge j of tree.edges when bit j of code is set,
+    and each last-level address's root path is read from its states. The
     oracle's float result must equal float() of this Fraction, its correct
     rounding.
     """
     pf = Fraction(p)
-    n_edges = edge_count(params, event.depth)
+    edge_list = edges(params, event.depth)
+    n_edges = len(edge_list)
     weights = [pf**h * (1 - pf) ** (n_edges - h) for h in range(n_edges + 1)]
+    ends = [v for v in edge_list if len(v) == event.depth]
 
     def follows(states):
         if event.kind is EventKind.OPEN_RAY:
-            return all(s is EdgeState.OPEN for s in states)
-        return all(a is not b for a, b in zip(states, states[1:]))
+            return all(states)
+        return all(a != b for a, b in zip(states, states[1:]))
 
     total = Fraction(0)
-    for sigma in enumerate_configs(params, event.depth):
-        ends = [v for v in sigma.states if len(v) == event.depth]
-        hits = sum(follows([sigma.states[v[:i]] for i in range(1, event.depth + 1)]) for v in ends)
+    for code in range(1 << n_edges):
+        states = {e: code >> j & 1 for j, e in enumerate(edge_list)}
+        hits = sum(follows([states[v[:i]] for i in range(1, event.depth + 1)]) for v in ends)
         mult = hits if event.kind is EventKind.ZEBRA_COUNT else int(hits > 0)
         if mult:
-            opens = sum(sigma.states.values())
-            total += mult * weights[opens]
+            total += mult * weights[code.bit_count()]
     return total
 
 

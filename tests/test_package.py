@@ -5,14 +5,10 @@ import pytest
 import zebraperc
 from zebraperc import (
     CriticalPair,
-    EdgeState,
     Estimate,
     EventKind,
     EventSpec,
-    PhiConfig,
-    PhiValue,
     RootMode,
-    SigmaConfig,
     SolverConfig,
     TreeParams,
     ZebraDPState,
@@ -31,14 +27,12 @@ EXPORTS = {
     "montecarlo": [
         "Estimate", "EventKind", "EventSpec", "NoBracketError",
         "brute_force_probability", "estimate_event", "find_critical_dp", "find_critical_mc",
-        "open_ray", "sample_sigma", "wilson_interval", "zebra_count", "zebra_ray",
+        "open_ray", "sample_tables", "wilson_interval", "zebra_count", "zebra_ray",
     ],
     "params": ["FIXED_POINT_CONFIG", "LIMIT_CONFIG", "RootMode", "SolverConfig", "TreeParams"],
     "rng": ["TrialStream", "derive_seed"],
     "tree": [
-        "EdgeState", "InvalidHatEdgeError", "OddDepthError", "PhiConfig", "PhiValue",
-        "SigmaConfig", "TooLargeError", "children", "dump_sigma", "enumerate_configs",
-        "hat_edge_decompose", "level_size", "load_sigma", "phi_of_sigma",
+        "InvalidHatEdgeError", "TooLargeError", "children", "hat_edge_decompose", "level_size",
     ],
 }
 
@@ -90,13 +84,9 @@ RECORDS = [
     (Estimate, {"mean": 0.5, "stderr": 0.1, "ci95_low": 0.3, "ci95_high": 0.7, "trials": 10,
                 "seed": 1},
      "Estimate(mean=0.5, stderr=0.1, ci95_low=0.3, ci95_high=0.7, trials=10, seed=1)"),
-    (SigmaConfig, {"depth": 1, "states": {(0,): EdgeState.OPEN}},
-     "SigmaConfig(depth=1, states={(0,): <EdgeState.OPEN: 1>})"),
-    (PhiConfig, {"depth": 1, "values": {(0,): PhiValue.PLUS}},
-     "PhiConfig(depth=1, values={(0,): <PhiValue.PLUS: 1>})"),
 ]
-#: The records that were frozen dataclasses: hashable, and refusing assignment.
-FROZEN = [(cls, fields) for cls, fields, _ in RECORDS if cls not in (SigmaConfig, PhiConfig)]
+#: The records were frozen dataclasses: hashable, and refusing assignment.
+FROZEN = [(cls, fields) for cls, fields, _ in RECORDS]
 
 
 class TestRecords:

@@ -1,40 +1,34 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zebraperc import RootMode, TreeParams
-from zebraperc.montecarlo import _block_tables, sample_sigma
+from zebraperc.montecarlo import _block_tables, sample_tables
 from zebraperc.rng import TrialStream
 from zebraperc.tree import (
     ROOT,
-    EdgeState,
     InvalidHatEdgeError,
-    OddDepthError,
-    PhiValue,
-    SigmaConfig,
     TooLargeError,
-    base_to_hat,
+    check_enumerable,
     children,
-    degree,
-    dump_phi,
-    dump_sigma,
+    config_text,
     edge_count,
+    edge_lists,
     edges,
-    enumerate_configs,
+    first_path,
     format_address,
     hat_edge_decompose,
     hat_shape,
     hat_to_base,
     level_size,
-    load_sigma,
-    open_ray_witness,
+    load_tables,
+    pair_transform,
     parent,
     parse_address,
-    phi_of_sigma,
-    signed_path_witness,
+    reach,
     transform_check,
     vertices_at_level,
-    zebra_connected_count,
-    zebra_ray_witness,
 )
 
 params_strategy = st.builds(
@@ -82,42 +76,34 @@ class TestAddressing:
 
 
 class TestEnumeration:
+    """The oracle's configurations: code c sets edge j when bit j of c is set."""
+
     def test_counts(self):
-        assert sum(1 for _ in enumerate_configs(TreeParams(2), 2)) == 64
+        assert check_enumerable(TreeParams(2), 2) == 6  # 64 configurations
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
-            next(iter(enumerate_configs(TreeParams(3), 3)))  # 39 edges
+            check_enumerable(TreeParams(3), 3)  # 39 edges
 
     def test_binary_counting_order(self):
-        configs = list(enumerate_configs(TreeParams(2), 1))
-        assert [tuple(c.states.values()) for c in configs] == [
-            (EdgeState.CLOSED, EdgeState.CLOSED),
-            (EdgeState.OPEN, EdgeState.CLOSED),
-            (EdgeState.CLOSED, EdgeState.OPEN),
-            (EdgeState.OPEN, EdgeState.OPEN),
+        tables = _block_tables(check_enumerable(TreeParams(2), 1))
+        assert [tuple(t >> code & 1 for t in tables) for code in range(4)] == [
+            (0, 0), (1, 0), (0, 1), (1, 1),
         ]
 
     def test_deterministic(self):
-        first = [c.states for c in enumerate_configs(TreeParams(2), 2)]
-        second = [c.states for c in enumerate_configs(TreeParams(2), 2)]
-        assert first == second
+        assert _block_tables.__wrapped__(6) == _block_tables(6)
 
 
 class TestHatAddressing:
     @given(params_strategy, st.integers(0, 3))
     @settings(max_examples=30)
     def test_round_trip(self, params, m):
-        import itertools
-
+        k = params.k
         for hv in itertools.islice(vertices_at_level(hat_shape(params), m), 200):
             base = hat_to_base(params, hv)
             assert len(base) == 2 * len(hv)
-            assert base_to_hat(params, base) == hv
-
-    def test_base_to_hat_rejects_odd(self):
-        with pytest.raises(OddDepthError):
-            base_to_hat(TreeParams(2), (0, 1, 0))
+            assert tuple(base[i] * k + base[i + 1] for i in range(0, len(base), 2)) == hv
 
     def test_hat_root_degree(self):
         assert hat_shape(TreeParams(2)).root_degree == 4
@@ -142,81 +128,94 @@ class TestHatAddressing:
             hat_edge_decompose(params, ROOT, (5, 1))  # index out of arity
 
 
-def _uniform_sigma(params, depth, state):
-    return SigmaConfig(
-        depth=depth, states={e: state for e in edges(params, depth)}
-    )
+def _tables(edge_list, states):
+    """One one-bit table per edge: states[e], or 0 for an edge states does not name."""
+    return [states.get(e, 0) for e in edge_list]
+
+
+def _image(params, m, states):
+    """The depth-m image of a one-configuration depth-2m table set, by transformed edge."""
+    (edge_list, _, _), (hat_edges, _, _), image = pair_transform(params, m)
+    plus, minus = image(_tables(edge_list, states))
+    return dict(zip(hat_edges, ("0+-"[u + 2 * v] for u, v in zip(plus, minus))))
+
+
+def _path(params, length, states, first=None, alternate=True):
+    """first_path of reach over the length-truncation of a one-configuration dict,
+    the first edge pinned open (1), closed (0) or free (None)."""
+    edge_list, roots, below = edge_lists(params, length)
+    tables = _tables(edge_list, states)
+    start = [(j, 1 if first is None else int(tables[j] == first)) for j in roots]
+    return first_path(edge_list, reach(below, start, tables, alternate))
 
 
 class TestPhi:
     def test_table(self):
         params = TreeParams(2)
-        sigma = _uniform_sigma(params, 2, EdgeState.CLOSED)
-        sigma.states[(0,)] = EdgeState.OPEN  # l1 open, l2 closed under child 0
-        phi = phi_of_sigma(params, sigma)
-        assert phi.values[(0,)] == PhiValue.PLUS
-        assert phi.values[(1,)] == PhiValue.PLUS
-        assert phi.values[(2,)] == PhiValue.ZERO  # both closed below child 1
+        phi = _image(params, 1, {(0,): 1})  # l1 open, l2 closed under child 0
+        assert phi[(0,)] == "+"
+        assert phi[(1,)] == "+"
+        assert phi[(2,)] == "0"  # both closed below child 1
 
-        sigma = _uniform_sigma(params, 2, EdgeState.CLOSED)
-        sigma.states[(0, 1)] = EdgeState.OPEN  # l1 closed, l2 open
-        phi = phi_of_sigma(params, sigma)
-        assert phi.values[(1,)] == PhiValue.MINUS
-        assert phi.values[(0,)] == PhiValue.ZERO
+        phi = _image(params, 1, {(0, 1): 1})  # l1 closed, l2 open
+        assert phi[(1,)] == "-"
+        assert phi[(0,)] == "0"
 
     def test_all_open_maps_to_all_zero(self):
         params = TreeParams(2)
-        phi = phi_of_sigma(params, _uniform_sigma(params, 4, EdgeState.OPEN))
-        assert set(phi.values.values()) == {PhiValue.ZERO}
-        assert phi.depth == 2
+        phi = _image(params, 2, dict.fromkeys(edges(params, 4), 1))
+        assert set(phi.values()) == {"0"}
+        assert max(map(len, phi)) == 2
 
-    def test_odd_depth_rejected(self):
-        params = TreeParams(2)
-        with pytest.raises(OddDepthError):
-            phi_of_sigma(params, _uniform_sigma(params, 3, EdgeState.OPEN))
+    def test_half_depth_below_one_rejected(self):
+        with pytest.raises(ValueError, match="half-depth must be >= 1, got 0"):
+            pair_transform(TreeParams(2), 0)
 
     def test_domain_is_the_hat_edge_set(self):
         for mode in RootMode:
             params = TreeParams(2, mode)
-            phi = phi_of_sigma(params, _uniform_sigma(params, 4, EdgeState.OPEN))
+            phi = _image(params, 2, dict.fromkeys(edges(params, 4), 1))
             d_hat = hat_shape(params).root_degree
-            assert len(phi.values) == d_hat + d_hat * 4
+            assert len(phi) == d_hat + d_hat * 4
+            assert list(phi) == edges(hat_shape(params), 2)
 
     @given(st.integers(0, 500))
     @settings(max_examples=50)
     def test_deterministic(self, trial):
         params = TreeParams(2)
-        sigma = sample_sigma(params, 4, 0.5, TrialStream(3, trial))
-        assert phi_of_sigma(params, sigma) == phi_of_sigma(params, sigma)
+        image = pair_transform(params, 2)[2]
+        first, second = (image(sample_tables(params, 4, 0.5, [TrialStream(3, trial).base]))
+                         for _ in range(2))
+        assert first == second
 
 
 class TestWitnesses:
     def test_alternating_ray_fixture(self):
         params = TreeParams(2)
-        sigma = _uniform_sigma(params, 4, EdgeState.OPEN)
+        states = dict.fromkeys(edges(params, 4), 1)
         for e in ((0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)):
-            sigma.states[e] = EdgeState.CLOSED if len(e) % 2 else EdgeState.OPEN
+            states[e] = 0 if len(e) % 2 else 1
         # ray under child 0 now alternates closed/open/closed/open
-        witness = zebra_ray_witness(params, sigma, 4, first=EdgeState.CLOSED)
-        assert witness == [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
-        phi = phi_of_sigma(params, sigma)
-        assert signed_path_witness(params, phi, 2, PhiValue.MINUS) == [(0,), (0, 0)]
-        tables = [int(sigma.states[e]) for e in edges(params, 4)]  # one configuration
-        assert transform_check(params, 2)(tables, 1) == 0
+        assert _path(params, 4, states, first=0) == [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]
+        minus = {e: int(sign == "-") for e, sign in _image(params, 2, states).items()}
+        assert _path(hat_shape(params), 2, minus, alternate=False) == [(0,), (0, 0)]
+        assert transform_check(params, 2)(_tables(edges(params, 4), states), 1) == 0
 
     def test_open_ray_and_count(self):
         params = TreeParams(2)
-        sigma = _uniform_sigma(params, 2, EdgeState.OPEN)
-        assert open_ray_witness(params, sigma, 2) == [(0,), (0, 0)]
+        states = dict.fromkeys(edges(params, 2), 1)
+        assert _path(params, 2, states, alternate=False) == [(0,), (0, 0)]
         # all open: every depth-1 vertex is zebra-connected, no depth-2 vertex is
-        assert zebra_connected_count(params, sigma, 1) == 2
-        assert zebra_connected_count(params, sigma, 2) == 0
+        for depth, count in ((1, 2), (2, 0)):
+            edge_list, roots, below = edge_lists(params, depth)
+            tables = _tables(edge_list, states)
+            assert len(reach(below, [(j, 1) for j in roots], tables, True)) == count
 
     def test_no_witness(self):
         params = TreeParams(2)
-        sigma = _uniform_sigma(params, 2, EdgeState.CLOSED)
-        assert open_ray_witness(params, sigma, 1) is None
-        assert zebra_ray_witness(params, sigma, 2, first=EdgeState.OPEN) is None
+        states = dict.fromkeys(edges(params, 2), 0)
+        assert _path(params, 1, states, alternate=False) is None
+        assert _path(params, 2, states, first=1) is None
 
     def test_exhaustive_correspondence_depth2(self):
         # 64, 4,096 and 512 configurations
@@ -235,31 +234,22 @@ class TestWitnesses:
         bad = transform_check(params, 1)(_block_tables(edge_count(params, 2)), (1 << 64) - 1)
         assert bad.bit_count() == 42
 
-    @pytest.mark.parametrize("length", [3, 4])
-    def test_witnesses_past_the_configuration_depth(self, length):
-        params = TreeParams(2)
-        sigma = _uniform_sigma(params, 2, EdgeState.OPEN)
-        phi = phi_of_sigma(params, _uniform_sigma(params, 4, EdgeState.OPEN))  # depth 2
-        message = f"path length {length} exceeds the configuration depth 2"
-        for witness in (lambda: open_ray_witness(params, sigma, length),
-                        lambda: zebra_ray_witness(params, sigma, length),
-                        lambda: signed_path_witness(params, phi, length, PhiValue.PLUS),
-                        lambda: zebra_connected_count(params, sigma, length)):
-            with pytest.raises(ValueError, match=message):
-                witness()
-
     @pytest.mark.parametrize("params,depth,configs", [
         (TreeParams(2), 2, None),
         (TreeParams(3, RootMode.FULL_CAYLEY), 4, 150),
     ])
     def test_first_path_in_child_order(self, params, depth, configs):
         """Each witness is the lexicographically first matching path of its length."""
+        edge_list = edges(params, depth)
         if configs is None:
-            sigmas = list(enumerate_configs(params, depth))
+            codes = range(1 << len(edge_list))
+            sigmas = [{e: code >> j & 1 for j, e in enumerate(edge_list)} for code in codes]
         else:
-            sigmas = [sample_sigma(params, depth, 0.5, TrialStream(5, t)) for t in range(configs)]
+            sigmas = [dict(zip(edge_list, sample_tables(params, depth, 0.5,
+                                                        [TrialStream(5, t).base])))
+                      for t in range(configs)]
 
-        def first_path(labels, length, ok):
+        def brute_first_path(labels, length, ok):
             for v in sorted(a for a in labels if len(a) == length):
                 path = [v[:i] for i in range(1, length + 1)]
                 if ok([labels[e] for e in path]):
@@ -267,21 +257,23 @@ class TestWitnesses:
             return None
 
         def alternates(first):
-            return lambda s: (first is None or s[0] is first) and all(
-                a is not b for a, b in zip(s, s[1:]))
+            return lambda s: (first is None or s[0] == first) and all(
+                a != b for a, b in zip(s, s[1:]))
 
+        hat = hat_shape(params)
         for sigma in sigmas:
-            phi = phi_of_sigma(params, sigma)
+            phi = _image(params, depth // 2, sigma)
             for length in range(1, depth + 1):
-                assert open_ray_witness(params, sigma, length) == first_path(
-                    sigma.states, length, lambda s: all(x is EdgeState.OPEN for x in s))
-                for first in (None, EdgeState.OPEN, EdgeState.CLOSED):
-                    assert zebra_ray_witness(params, sigma, length, first) == first_path(
-                        sigma.states, length, alternates(first))
-            for length in range(1, phi.depth + 1):
-                for sign in PhiValue:
-                    assert signed_path_witness(params, phi, length, sign) == first_path(
-                        phi.values, length, lambda s: all(x is sign for x in s))
+                assert _path(params, length, sigma, alternate=False) == brute_first_path(
+                    sigma, length, lambda s: all(x == 1 for x in s))
+                for first in (None, 1, 0):
+                    assert _path(params, length, sigma, first) == brute_first_path(
+                        sigma, length, alternates(first))
+            for length in range(1, depth // 2 + 1):
+                for sign in "+0-":
+                    signed = {e: int(x == sign) for e, x in phi.items()}
+                    assert _path(hat, length, signed, alternate=False) == brute_first_path(
+                        phi, length, lambda s: all(x == sign for x in s))
 
 
 class TestSerialization:
@@ -294,28 +286,26 @@ class TestSerialization:
             parse_address("-1/0")
 
     def test_dump_format(self):
-        params = TreeParams(2)
-        sigma = _uniform_sigma(params, 1, EdgeState.OPEN)
-        sigma.states[(1,)] = EdgeState.CLOSED
-        assert dump_sigma(sigma) == "0,O\n1,C\n"
+        assert config_text(edges(TreeParams(2), 1), "OC") == "0,O\n1,C"
 
     def test_dump_phi_format(self):
         params = TreeParams(2)
-        sigma = _uniform_sigma(params, 2, EdgeState.CLOSED)
-        sigma.states[(0,)] = EdgeState.OPEN
-        text = dump_phi(phi_of_sigma(params, sigma))
+        (_, _, _), (hat_edges, _, _), image = pair_transform(params, 1)
+        plus, minus = image(_tables(edges(params, 2), {(0,): 1}))
+        text = config_text(hat_edges, ("0+-"[u + 2 * v] for u, v in zip(plus, minus)))
         assert text.splitlines()[0] == "0,+"
 
     @given(st.integers(0, 10**6), st.integers(1, 4))
     @settings(max_examples=40)
     def test_round_trip(self, trial, depth):
         params = TreeParams(2, RootMode.FULL_CAYLEY)
-        sigma = sample_sigma(params, depth, 0.4, TrialStream(9, trial))
-        assert load_sigma(dump_sigma(sigma), params) == sigma
+        tables = sample_tables(params, depth, 0.4, [TrialStream(9, trial).base])
+        text = config_text(edges(params, depth), ("CO"[t] for t in tables))
+        assert load_tables(text, params) == (depth, tables)
 
     def test_load_rejects_incomplete_domain(self):
         with pytest.raises(ValueError):
-            load_sigma("0,O\n", TreeParams(2))  # missing edge 1
+            load_tables("0,O\n", TreeParams(2))  # missing edge 1
 
     def test_load_counts_edges_before_listing_them(self, monkeypatch):
         from zebraperc import tree
@@ -326,10 +316,10 @@ class TestSerialization:
         monkeypatch.setattr(tree, "edges", refuse)
         deep = "/".join(["0"] * 40) + ",O\n"  # 2^41 - 2 edges in its truncation
         with pytest.raises(ValueError, match="1 edges, but the depth-40 truncation has 2199023255550"):
-            load_sigma(deep, TreeParams(2))
+            load_tables(deep, TreeParams(2))
 
     def test_load_rejects_bad_lines(self):
         with pytest.raises(ValueError):
-            load_sigma("0,X\n1,O\n", TreeParams(2))
+            load_tables("0,X\n1,O\n", TreeParams(2))
         with pytest.raises(ValueError):
-            load_sigma("0,O\n0,C\n1,O\n", TreeParams(2))
+            load_tables("0,O\n0,C\n1,O\n", TreeParams(2))
