@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .params import (
     FIXED_POINT_CONFIG,
@@ -251,19 +252,23 @@ def zebra_dp(params: TreeParams, p: float, n: int) -> list[ZebraDPState]:
     value combines both parities over the root degree d:
     z_m = 1 - (1 - p b_{m-1} - (1-p) a_{m-1})^d.
     """
+    return list(_zebra_dp_states(params, p, n))
+
+
+def _zebra_dp_states(params: TreeParams, p: float, n: int) -> Iterator[ZebraDPState]:
+    """The states of zebra_dp one at a time, so that one depth costs no list."""
     check_probability(p)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     k = params.k
     d = params.root_degree
     q = 1.0 - p
-    states = [ZebraDPState(depth=0, a=1.0, b=1.0, z=1.0)]
+    yield ZebraDPState(depth=0, a=1.0, b=1.0, z=1.0)
     a = b = 1.0
     for m in range(1, n + 1):
         z = 1.0 - (1.0 - (p * b + q * a)) ** d
         a, b = 1.0 - (1.0 - p * b) ** k, 1.0 - (1.0 - q * a) ** k
-        states.append(ZebraDPState(depth=m, a=a, b=b, z=z))
-    return states
+        yield ZebraDPState(depth=m, a=a, b=b, z=z)
 
 
 def _zebra_root(params: TreeParams, p: float, a: float) -> float:

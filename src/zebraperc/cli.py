@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from . import analytic
 from .analytic import NonConvergenceError, UnsupportedOrderError
@@ -244,7 +244,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
     elif method == "dp":
         depth = _check_int(rc, "depth", 0)
         if depth > 0:
-            value = analytic.zebra_dp(params, p, depth)[depth].z
+            value = deque(analytic._zebra_dp_states(params, p, depth), maxlen=1).pop().z
         else:
             value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
     else:

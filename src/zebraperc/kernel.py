@@ -14,15 +14,15 @@ contract, bond for bond: a trial's outcome depends neither on the other
 trials that share its rounds nor on the order in which its vertices are
 expanded.
 
-Only the open test depends on p, never a word. The existence search tests
-one p by guard bits (Rounds.open_bits); the counting walk reads the open bits
-of a group of up to GROUP probabilities from each word's top byte
-(OpenTable), so one walk over the union of their zebra cones counts them all.
+Only the open test depends on p, never a word, and it is made in one place:
+OpenTable reads the open bits of a group of up to GROUP probabilities from
+each word's top byte. Both walks take their rounds through Rounds.expand, the
+existence search with a group of one p, the counting walk with a group of
+grid points, so one walk over the union of their zebra cones counts them all.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from array import array
@@ -78,17 +78,12 @@ def _lane_bytes(*words: int) -> bytes:
 
 
 def lane_keys(lanes: bytes) -> array:
-    """The child keys (low words) of the lanes Rounds.expand returns."""
+    """The low words of 16-byte lanes: the child keys of Rounds.expand's lanes."""
     buf = array("Q")
     buf.frombytes(lanes)
     if _SWAP:
         buf.byteswap()
     return buf[::2]
-
-
-def lane_flags(lanes: bytes) -> bytes:
-    """The open flags (byte 8) of the lanes Rounds.expand returns."""
-    return lanes[8::_LANE]
 
 
 def lane_mask(n: int) -> int:
@@ -108,72 +103,9 @@ def mix_lanes(x: int, mask: int) -> int:
     return (x ^ x >> 31) & mask
 
 
-class Rounds:
-    """Expands vertex lists for one search. Its lane constants are built for the
-    widest round expanded so far, doubling as the rounds grow, and cut down to
-    each round; with a p it also holds the guard of p's open test."""
-
-    def __init__(self, p: float | None = None) -> None:
-        self.threshold = None if p is None else open_threshold(p)
-        self.lanes = self.mask = self.guard = 0
-        self.steps: dict[int, int] = {}
-
-    def fit(self, n: int) -> None:
-        """Grow the constants to at least n lanes, to twice their width or more."""
-        if n <= self.lanes:
-            return
-        self.lanes = max(n, 2 * self.lanes)
-        self.mask = lane_mask(self.lanes)
-        if self.threshold is not None:
-            self.guard = int.from_bytes(_lane_bytes(self.threshold + _MASK) * self.lanes, "little")
-        self.steps = {}
-
-    def open_bits(self, word: int, n: int) -> int:
-        """Guard bits of the first n lanes of `word`, each lane a bond's word mix64(base ^ key).
-
-        Bit 64 of a lane is set when the bond is open, its word below
-        y = open_threshold(p): (y - 1 + 2**64) - word has bit 64 set exactly
-        when word < y, and never borrows from the next lane. The caller mixes
-        the words, so that the unmixed lanes are not kept alive through the mix.
-        """
-        diff = (self.guard >> 128 * (self.lanes - n)) - word
-        return diff ^ (diff & self.mask)
-
-    def mix(self, keys: array, bases: array, arity: int) -> tuple[int, int]:
-        """The child keys and the bond words of every child of the vertices, in parent-major lanes.
-
-        Vertex j has address key keys[j] in the trial with base word bases[j].
-        Lane j*arity + i of the first int is its child i's key, child_key(keys[j], i),
-        and of the second that child's bond word, mix64(bases[j] ^ key).
-        """
-        n = len(keys) * arity
-        self.fit(n)
-        buf = array("Q", bytes(_LANE * n))
-        for i in range(arity):
-            buf[2 * i :: 2 * arity] = keys
-            buf[2 * i + 1 :: 2 * arity] = bases
-        if _SWAP:
-            buf.byteswap()
-        both = int.from_bytes(buf, "little")
-        mask = self.mask
-        steps = self.steps.get(arity)
-        if steps is None:
-            per = _lane_bytes(*((i + 1) * _GOLDEN & _MASK for i in range(arity)))
-            steps = self.steps[arity] = int.from_bytes(per * (self.lanes // arity), "little")
-        child = mix_lanes((both & mask) ^ (steps >> 128 * (self.lanes // arity * arity - n)), mask)
-        return child, mix_lanes((both >> 64 & mask) ^ child, mask)
-
-    def expand(self, keys: array, bases: array, arity: int) -> bytes:
-        """Every child of the vertices, as 16-byte lanes in the order of mix: bytes
-        0-7 hold the child's key and byte 8 its open flag (open_bits of its word)."""
-        child, word = self.mix(keys, bases, arity)
-        n = len(keys) * arity
-        return (child | self.open_bits(word, n)).to_bytes(_LANE * n, "little")
-
-
 class OpenTable:
     """The open bits of a group of at most GROUP probabilities, bit j for ps[j],
-    from the bond words in bytes 8-15 of 16-byte lanes.
+    from the bond words in bytes 8-15 of 16-byte lanes: the kernel's open test.
 
     Bit j of table[b] is set when every word with top byte b is below
     y_j = open_threshold(ps[j]). The words with top byte y_j >> 56 lie on both
@@ -207,6 +139,52 @@ class OpenTable:
         return bits
 
 
+class Rounds:
+    """Expands vertex lists for one walk over a group of probabilities ps. Its
+    lane constants are built for the widest round expanded so far, doubling as
+    the rounds grow, and cut down to each round."""
+
+    def __init__(self, ps: Sequence[float]) -> None:
+        self.opens = OpenTable(ps)
+        self.lanes = self.mask = 0
+        self.steps: dict[int, int] = {}
+
+    def fit(self, n: int) -> None:
+        """Grow the constants to at least n lanes, to twice their width or more."""
+        if n <= self.lanes:
+            return
+        self.lanes = max(n, 2 * self.lanes)
+        self.mask = lane_mask(self.lanes)
+        self.steps = {}
+
+    def expand(self, keys: array, bases: array, arity: int) -> tuple[bytes, bytearray]:
+        """Every child of the vertices as a 16-byte lane, in parent-major order, and its open bits.
+
+        Vertex j has address key keys[j] in the trial with base word bases[j].
+        Lane j*arity + i holds its child i's key, child_key(keys[j], i), in
+        bytes 0-7 and that child's bond word, mix64(bases[j] ^ key), in bytes
+        8-15; byte j*arity + i of the open bits is the OpenTable of ps there.
+        """
+        n = len(keys) * arity
+        self.fit(n)
+        buf = array("Q", bytes(_LANE * n))
+        for i in range(arity):
+            buf[2 * i :: 2 * arity] = keys
+            buf[2 * i + 1 :: 2 * arity] = bases
+        if _SWAP:
+            buf.byteswap()
+        both = int.from_bytes(buf, "little")
+        mask = self.mask
+        steps = self.steps.get(arity)
+        if steps is None:
+            per = _lane_bytes(*((i + 1) * _GOLDEN & _MASK for i in range(arity)))
+            steps = self.steps[arity] = int.from_bytes(per * (self.lanes // arity), "little")
+        child = mix_lanes((both & mask) ^ (steps >> 128 * (self.lanes // arity * arity - n)), mask)
+        word = mix_lanes((both >> 64 & mask) ^ child, mask)
+        lanes = (child | word << 64).to_bytes(_LANE * n, "little")
+        return lanes, self.opens(lanes)
+
+
 def _int(flags: bytes) -> int:
     return int.from_bytes(flags, "little")
 
@@ -233,18 +211,19 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     opposite of the one above it (a zebra ray).
 
     A lockstep depth-first search: each round expands one vertex, the hot
-    lane, of every trial still searching. The hot lane moves to its first
-    wanted child, picked with byte masks, and the other wanted children go on
-    the trial's stack, deepest on top. A trial whose hot lane has no wanted
-    child resumes from its stack, and a trial stops at its first path; one
-    whose stack is empty as well is a miss.
+    lane, of every trial still searching, by Rounds.expand with the group
+    [p]. The hot lane moves to its first wanted child, picked with byte
+    masks, and the other wanted children go on the trial's stack, deepest on
+    top. A trial whose hot lane has no wanted child resumes from its stack,
+    and a trial stops at its first path; one whose stack is empty as well is
+    a miss.
 
     With stop = (hits, misses) the search ends after the first round by which
     at least `hits` trials have hit or at least `misses` have missed, and the
     hits so far, a subset of the full result, are returned.
     """
     k, root_degree = params.k, params.root_degree
-    rounds = Rounds(p)
+    rounds = Rounds([p])
     stop_hits, stop_misses = stop or (len(bases) + 1, len(bases) + 1)
     misses = 0
     hit: set[int] = set()
@@ -256,8 +235,7 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     arity = root_degree
     while keys:
         m = len(keys)
-        lanes = rounds.expand(keys, owners, arity)
-        flags = lane_flags(lanes)
+        lanes, flags = rounds.expand(keys, owners, arity)
         if not alternate:
             wanted = flags
         elif states:
@@ -309,8 +287,8 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
     to the root by a zebra path; trials with no such vertex are absent.
 
     One walk serves the group: a bond's word does not depend on p, only its
-    open threshold does, so each round mixes every child key and bond word
-    once and reads the open bits of all of ps from it (OpenTable). A pending
+    open threshold does, so each round (Rounds.expand) mixes every child key
+    and bond word once and reads the open bits of all of ps from it. A pending
     vertex carries a mask byte, bit j set when a zebra path at ps[j] reaches
     it, and a state byte, bit j its own edge's state at ps[j], side by side
     in one 'H' item; a child is pending when its mask is not empty. The
@@ -319,8 +297,7 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
     so the pool stays small.
     """
     k, root_degree = params.k, params.root_degree
-    opens = OpenTable(ps)
-    rounds = Rounds()
+    rounds = Rounds(ps)
     counts = [Counter() for _ in ps]
     bases = array("Q", bases)
     pending = {n: (array("Q", [ROOT_KEY]) * len(bases), bases,
@@ -335,9 +312,7 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
             for part in pool:
                 del part[-COUNT_LANES:]
         arity = root_degree if remaining == n else k
-        child, word = rounds.mix(keys, owners, arity)
-        lanes = (child | word << 64).to_bytes(_LANE * len(keys) * arity, "little")
-        flags = opens(lanes)
+        lanes, flags = rounds.expand(keys, owners, arity)
         marks = marks.tobytes()
         masks = _repeat(marks[0::2], arity)
         if remaining == n:  # below the root either state starts a zebra path
@@ -367,20 +342,22 @@ def trial_bases(seed: int, first: int, last: int) -> list[int]:
     return lane_keys(mixed.to_bytes(len(words), "little")).tolist()
 
 
-#: The Rounds of edge_flags, kept for the next batch at the same p.
-_flag_rounds = functools.lru_cache(maxsize=1)(Rounds)
+#: The batch size and lane mask of edge_flags' last batch, kept for the next
+#: batch of that size.
+_flag_mask = (0, 0)
 
 
-def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytes:
+def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytearray:
     """Open flags of a fixed list of edges in every trial of a batch, in one step.
 
     keys[j] is the address key of edge j (rng.vertex_key). Byte t*len(keys) + j
-    is 1 when edge j is open in the trial with base word bases[t], the
-    Rounds.open_bits of mix64(bases[t] ^ keys[j]).
+    is 1 when edge j is open in the trial with base word bases[t]: the
+    OpenTable of [p] at its bond word mix64(bases[t] ^ keys[j]).
     """
+    global _flag_mask
     n = len(keys) * len(bases)
-    rounds = _flag_rounds(p)
-    rounds.fit(n)
+    if _flag_mask[0] != n:
+        _flag_mask = (n, lane_mask(n))
     trial_words = b"".join(_lane_bytes(base) * len(keys) for base in bases)
-    word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), rounds.mask)
-    return lane_flags(rounds.open_bits(word, n).to_bytes(_LANE * n, "little"))
+    word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), _flag_mask[1])
+    return OpenTable([p])((word << 64).to_bytes(_LANE * n, "little"))

@@ -13,11 +13,12 @@ platform.
   bond open:    uniform < p, which holds exactly when word < y, for y the
                 least integer with y * 2**-64 >= p (kernel.open_threshold)
 
-The integer form of the open test is what the batched kernel evaluates; the
-two agree on every word and every p in [0, 1], so both give the same bonds.
-A bond's word does not depend on p, only the threshold y does, so the words
-drawn once for a trial decide its bonds at every p of a grid: one counting
-walk serves a group of points (kernel.zebra_counts).
+The batched kernel evaluates the integer form, word < y, and only there
+(kernel.OpenTable); the two forms agree on every word and every p in [0, 1],
+so both give the same bonds. A bond's word does not depend on p, only the
+threshold y does, so the words drawn once for a trial decide its bonds at
+every p of a grid: one counting walk serves a group of points
+(kernel.zebra_counts).
 """
 
 from __future__ import annotations

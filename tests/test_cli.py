@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,20 @@ class TestEval:
         assert code == 0
         fields = out.splitlines()[1].split(",")
         assert fields[3] == "2" and fields[5] == "0.9375"
+
+    def test_dp_at_a_depth_in_constant_memory(self, capsys):
+        """The depth-n value is read off a walk over the states, not a list of them."""
+        argv = ["eval", "--k", "3", "--p", "0.5", "--method", "dp", "--depth", "200000"]
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.splitlines()[1] == ("3,rooted-k,0.5,200000,dp,0.986844382504,"
+                                       "0.986844382504,0.986844382504,0,0")
+        assert peak < 2**20  # a list of the 200,001 states takes tens of MB
 
     def test_mc_is_deterministic(self, capsys):
         argv = ["eval", "--k", "2", "--p", "0.5", "--method", "mc", "--event",
@@ -273,6 +288,15 @@ class TestSweep:
             outputs.append(out)
         assert starts == [2]  # none at one thread, one for the three points at two
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
+
+    @pytest.mark.parametrize("event", ["open", "zebra"])
+    def test_ray_estimates_are_pinned(self, capsys, event):
+        """Existence estimates at five p, each the count of 1000 per-trial outcomes."""
+        code, out, _ = run_cli(capsys, ["sweep", "--k", "3", "--methods", "mc", "--event", event,
+                                        "--depth", "8", "--pmin", "0.2", "--pmax", "0.8",
+                                        "--steps", "5", "--trials", "1000", "--seed", "11"])
+        assert code == 0
+        assert out == (DATA / f"sweep-k3-{event}-depth8-seed11.out").read_text()
 
     def test_budget_refusal_after_the_rows_before_it(self, capsys, monkeypatch):
         """The 4th of 11 grid points is past the count budget: the first three rows
@@ -813,6 +837,7 @@ class TestThreadEnvironment:
                 outputs.add(proc.stdout)
             assert len(outputs) == 1
         assert outputs == {self.CRITICAL_MC}
+        assert (DATA / "critical-k3-zebra-mc-depth8-seed5.out").read_text() == self.CRITICAL_MC
 
     # the two benchmark commands and a --full-cayley one, decided probe by probe
     @pytest.mark.parametrize("argv,stdout", [

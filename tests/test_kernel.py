@@ -14,7 +14,6 @@ from zebraperc.kernel import (
     TRIAL_BATCH,
     OpenTable,
     Rounds,
-    lane_flags,
     lane_keys,
     lane_mask,
     mix_lanes,
@@ -36,6 +35,7 @@ from zebraperc.rng import ROOT_KEY, TrialStream, child_key, mix64, vertex_key
 from zebraperc.tree import edges
 
 MASK = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def pack_lanes(words):
@@ -150,18 +150,27 @@ class TestLanes:
         # a mask with more lanes than the operand gives the same words
         assert unpack_lanes(mix_lanes(pack_lanes(words), lane_mask(n + 9)), n) == want
 
-    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.3, TestOpenThreshold.P_LOW_3, 0.5, 1.0])
     def test_expand_matches_the_scalar_stream(self, p):
         params = TreeParams(3)
         streams = [TrialStream(11, t) for t in range(20)]
         keys = array("Q", [ROOT_KEY, MASK, 0] + [random.Random(t).getrandbits(64) for t in range(17)])
-        lanes = Rounds(p).expand(
+        # vertices whose first child's word is y - 1 or y, for y = open_threshold(p): for
+        # every p here but 0 both lie in y's undecided top byte, so they are tested whole
+        y = open_threshold(p)
+        for word in (y - 1, y):
+            if word >= 0:
+                child = streams[0].base ^ unmix64(word)
+                keys.append(unmix64(child) ^ GOLDEN)
+                assert mix64(streams[0].base ^ child_key(keys[-1], 0)) == word
+                streams.append(streams[0])
+        lanes, flags = Rounds([p]).expand(
             keys, array("Q", [s.base for s in streams]), params.k)
         want_keys = [child_key(key, i) for key in keys for i in range(params.k)]
         want_flags = [int(s.is_open(child_key(key, i), p))
                       for key, s in zip(keys, streams) for i in range(params.k)]
         assert list(lane_keys(lanes)) == want_keys
-        assert list(lane_flags(lanes)) == want_flags
+        assert list(flags) == want_flags
 
     @pytest.mark.parametrize("params,depth", [
         (TreeParams(2), 4), (TreeParams(3), 3), (TreeParams(2, RootMode.FULL_CAYLEY), 5),
@@ -176,7 +185,7 @@ class TestLanes:
                           for key in edge_keys]
 
     def test_batches_of_equal_size_at_another_p(self):
-        """The kept mask and guard of one batch serve the next only at the same p."""
+        """The lane mask kept from one batch serves the next at another p as well."""
         params, depth = TreeParams(2), 3
         edge_keys = [vertex_key(e) for e in edges(params, depth)]
         streams = [TrialStream(5, t) for t in range(8)]
