@@ -255,8 +255,24 @@ def zebra_dp(params: TreeParams, p: float, n: int) -> list[ZebraDPState]:
     return list(_zebra_dp_states(params, p, n))
 
 
+def zebra_dp_state(params: TreeParams, p: float, n: int) -> ZebraDPState:
+    """zebra_dp(params, p, n)[n] in constant memory, and in constant time once (a, b) repeats.
+
+    A step that leaves (a, b) exactly as it was leaves it so at every later
+    depth, each with the same z, so the depth-n state is that step's with
+    depth n. Only an exact repeat stops the iteration; a float 2-cycle runs
+    all n steps.
+    """
+    last = None
+    for state in _zebra_dp_states(params, p, n):
+        if last is not None and (state.a, state.b) == (last.a, last.b):
+            return ZebraDPState(depth=n, a=state.a, b=state.b, z=state.z)
+        last = state
+    return last
+
+
 def _zebra_dp_states(params: TreeParams, p: float, n: int) -> Iterator[ZebraDPState]:
-    """The states of zebra_dp one at a time, so that one depth costs no list."""
+    """The states of zebra_dp one at a time."""
     check_probability(p)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from . import analytic
 from .analytic import NonConvergenceError, UnsupportedOrderError
@@ -244,7 +244,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
     elif method == "dp":
         depth = _check_int(rc, "depth", 0)
         if depth > 0:
-            value = deque(analytic._zebra_dp_states(params, p, depth), maxlen=1).pop().z
+            value = analytic.zebra_dp_state(params, p, depth).z
         else:
             value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
     else:
@@ -432,11 +432,6 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
     params = _tree_params(rc)
     if params.k > 3:
         raise TooLargeError(f"transform demo supports k <= 3, got k={params.k}")
-    depth = _check_int(rc, "depth", 2)
-    if depth % 2:
-        raise ConfigError(f"--depth: even depth required, got {depth}")
-    if depth > 6:
-        raise TooLargeError(f"transform demo supports depth <= 6, got {depth}")
     if rc["input"]:
         try:
             with open(rc["input"], "r", encoding="utf-8") as fh:
@@ -446,6 +441,11 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
         if depth % 2 or depth > 6:
             raise ConfigError(f"--input: fixture depth {depth} unsupported")
     else:
+        depth = _check_int(rc, "depth", 2)
+        if depth % 2:
+            raise ConfigError(f"--depth: even depth required, got {depth}")
+        if depth > 6:
+            raise TooLargeError(f"transform demo supports depth <= 6, got {depth}")
         p, seed = _check_prob(rc, "p"), _check_int(rc, "seed", 0)
         tables = montecarlo.sample_tables(params, depth, p, [TrialStream(seed, 0).base])
     m = depth // 2

@@ -30,16 +30,23 @@ from collections import Counter, defaultdict
 from collections.abc import Sequence
 from itertools import compress
 
-from .params import TreeParams
+from .params import TooLargeError, TreeParams
 from .rng import _GOLDEN, _MASK, _TO_UNIT, ROOT_KEY, mix64
 
-#: Trials searched together; a longer chunk runs in several batches. An
-#: existence search advances every trial of a batch in lockstep, so a batch
-#: must hold many trials to spread the fixed cost of a round; its per-trial
-#: stacks and its lanes grow with the batch.
+#: Trials searched together at most (see search_batch); a longer chunk runs
+#: in several batches. An existence search advances every trial of a batch in
+#: lockstep, so a batch must hold many trials to spread the fixed cost of a
+#: round; its per-trial stacks and its lanes grow with the batch.
 TRIAL_BATCH = 1024
-#: Vertices expanded per round of the counting walk.
+#: Vertices expanded per round of the counting walk at most (see round_width).
 COUNT_LANES = 2048
+#: Lanes one round may span, unless one vertex's children alone span more. A
+#: search batch holds at most about MAX_ROUND_LANES x depth stack entries, and
+#: the counting walk's pool, expanded deepest first, about as many vertices.
+#: A 1,024-trial zebra-ray estimate at p = 1/2 peaked at 212 MB at k = 512,
+#: 204 MB at k = 2,048 and 215 MB at k = 20,000 to depth 2, and at 476 MB at
+#: k = 512 and 506 MB at k = 2,048 to depth 8 (Python 3.11).
+MAX_ROUND_LANES = 2**19
 #: Probabilities one counting walk serves: the bits of a byte.
 GROUP = 8
 
@@ -48,6 +55,23 @@ _SWAP = sys.byteorder != "little"
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _LOW = (1 << 56) - 1  # the bits of a word below its top byte
 _BITS = [bytes(b >> j & 1 for b in range(256)) for j in range(GROUP)]  # bit j of a byte
+
+
+def round_width(cap: int, arity: int) -> int:
+    """Vertices per round of a walk whose vertices have `arity` children: at most
+    cap, and at most MAX_ROUND_LANES lanes, but one vertex at least."""
+    return max(1, min(cap, MAX_ROUND_LANES // arity))
+
+
+def search_batch(params: TreeParams) -> int:
+    """Trials per batch of an existence search, whose widest round expands one
+    vertex of every trial of the batch. TooLargeError when one vertex's
+    children alone pass MAX_ROUND_LANES."""
+    arity = max(params.k, params.root_degree)
+    if arity > MAX_ROUND_LANES:
+        raise TooLargeError(f"a vertex at k={params.k} has {arity} children, past the bound "
+                            f"of {MAX_ROUND_LANES} lanes per round")
+    return round_width(TRIAL_BATCH, arity)
 
 
 def open_threshold(p: float) -> int:
@@ -293,10 +317,11 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
     it, and a state byte, bit j its own edge's state at ps[j], side by side
     in one 'H' item; a child is pending when its mask is not empty. The
     pending vertices of all trials, roots included, are pooled by the edges
-    left below them and expanded deepest first, at most COUNT_LANES per round,
-    so the pool stays small.
+    left below them and expanded deepest first, at most round_width(COUNT_LANES,
+    arity) per round, so the pool stays small.
     """
     k, root_degree = params.k, params.root_degree
+    root_width, width = round_width(COUNT_LANES, root_degree), round_width(COUNT_LANES, k)
     rounds = Rounds(ps)
     counts = [Counter() for _ in ps]
     bases = array("Q", bases)
@@ -304,14 +329,14 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
                    array("H", bytes([(1 << len(ps)) - 1, 0])) * len(bases))}
     while pending:
         remaining = min(pending)
+        arity, take = (root_degree, root_width) if remaining == n else (k, width)
         pool = pending[remaining]
-        keys, owners, marks = (part[-COUNT_LANES:] for part in pool)
+        keys, owners, marks = (part[-take:] for part in pool)
         if len(keys) == len(pool[0]):
             del pending[remaining]
         else:
             for part in pool:
-                del part[-COUNT_LANES:]
-        arity = root_degree if remaining == n else k
+                del part[-take:]
         lanes, flags = rounds.expand(keys, owners, arity)
         marks = marks.tobytes()
         masks = _repeat(marks[0::2], arity)

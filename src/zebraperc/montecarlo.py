@@ -49,10 +49,6 @@ Z95 = 1.959963984540054
 #: Expected lanes one counting estimate may expand: eight to nine minutes at the
 #: walk's 1.9 M lanes/s (one core of a 2-core machine, k = 3, p = 1/2, depths 16-24).
 MAX_COUNT_LANES = 10**9
-#: Lanes one kernel round may span: TRIAL_BATCH trials of an existence search,
-#: or COUNT_LANES vertices of the counting walk, times max(k, root degree). At
-#: this bound 1,024 zebra-ray trials at k = 512 peaked at 234 MB (Python 3.11).
-MAX_ROUND_LANES = 2**19
 
 
 class EventKind(enum.Enum):
@@ -130,12 +126,13 @@ def sample_tables(params: TreeParams, depth: int, p: float, bases: list[int]) ->
 # ---------------------------------------------------------------------------
 # estimators
 
-def chunk_bases(seed: int, start: int, stop: int):
-    """Trial base words of trials start .. stop-1, in kernel batches."""
+def chunk_bases(params: TreeParams, seed: int, start: int, stop: int):
+    """Trial base words of trials start .. stop-1, in batches of kernel.search_batch(params)."""
     from . import kernel
 
-    for first in range(start, stop, kernel.TRIAL_BATCH):
-        yield kernel.trial_bases(seed, first, min(first + kernel.TRIAL_BATCH, stop))
+    batch = kernel.search_batch(params)
+    for first in range(start, stop, batch):
+        yield kernel.trial_bases(seed, first, min(first + batch, stop))
 
 
 def _chunk(args) -> list[list[int]]:
@@ -145,7 +142,7 @@ def _chunk(args) -> list[list[int]]:
     from . import kernel
 
     sums = [[0, 0] for _ in ps]
-    for bases in chunk_bases(seed, start, stop):
+    for bases in chunk_bases(params, seed, start, stop):
         if event.kind is EventKind.ZEBRA_COUNT:
             outcomes = [c.values() for c in kernel.zebra_counts(params, ps, event.depth, bases)]
         else:  # an existence search stops at another vertex for each p: one search per p
@@ -158,18 +155,15 @@ def _chunk(args) -> list[list[int]]:
     return sums
 
 
-def _check_rounds(params: TreeParams, event: EventSpec, trials: int) -> None:
-    """ValueError below one trial; TooLargeError for rounds wider than MAX_ROUND_LANES."""
+def _check_rounds(params: TreeParams, trials: int) -> None:
+    """ValueError below one trial; TooLargeError when one vertex's children alone
+    span more lanes than a kernel round may (kernel.search_batch). The kernel
+    narrows every other round to fit."""
     from . import kernel
 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    count = event.kind is EventKind.ZEBRA_COUNT
-    batch = kernel.COUNT_LANES if count else min(trials, kernel.TRIAL_BATCH)
-    lanes = batch * max(params.k, params.root_degree)
-    if lanes > MAX_ROUND_LANES:
-        raise TooLargeError(f"a round of {batch} vertices at k={params.k} spans {lanes} "
-                            f"lanes, past the bound of {MAX_ROUND_LANES}")
+    kernel.search_batch(params)
 
 
 def _expected_lanes(params: TreeParams, p: float, n: int) -> float:
@@ -243,9 +237,10 @@ def estimate_event(
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
-    wall time. This is estimate_grid at the one point p: rounds wider than
-    MAX_ROUND_LANES, and a counting estimate that expects more than
-    MAX_COUNT_LANES lanes, raise TooLargeError before any bond is drawn.
+    wall time. This is estimate_grid at the one point p: a tree whose vertices
+    have more children than a kernel round may span, and a counting estimate
+    that expects more than MAX_COUNT_LANES lanes, raise TooLargeError before
+    any bond is drawn.
     """
     return estimate_grid(params, [p], event, trials, seed, workers, chunk_map)[0]
 
@@ -281,7 +276,7 @@ def estimate_grid(
     p raises, so a caller estimating a grid group by group meets each refusal
     at its own point. Every check comes before any bond is drawn.
     """
-    _check_rounds(params, event, trials)
+    _check_rounds(params, trials)
     for i, p in enumerate(ps):
         try:
             _check_point(params, p, event, trials)
@@ -466,14 +461,15 @@ def _rate_above(params: TreeParams, p: float, depth: int, trials: int, seed: int
     hit, and falls short once more than trials minus that many miss. The
     batches of chunk_bases run in order, each told the hits and misses still
     lacking, so a batch stops at the round that settles the answer and the
-    batches after it are skipped.
+    batches after it are skipped; the decision is the same for any batch
+    width.
     """
     from . import kernel
 
     need = _hits_needed(trials, tau)
     misses_left = trials - need + 1
     hits = 0
-    for bases in chunk_bases(seed, 0, trials):
+    for bases in chunk_bases(params, seed, 0, trials):
         found = len(kernel.ray_hits(params, p, depth, bases, alternate=True,
                                     stop=(need - hits, misses_left)))
         hits += found
@@ -501,10 +497,12 @@ def find_critical_mc(
     answer is certain, so it runs all of its trials in one process: with more
     than one worker the two sides run in a pool of two processes, shut down
     when the search returns. Before any bond is drawn, depth or trials below
-    1 raise ValueError, rounds wider than MAX_ROUND_LANES TooLargeError, and
-    a detection level of 1 or more, which no estimate exceeds, NoBracketError.
+    1 raise ValueError, a tree whose vertices have more children than a kernel
+    round may span TooLargeError, and a detection level of 1 or more, which
+    no estimate exceeds, NoBracketError.
     """
-    _check_rounds(params, zebra_ray(depth), trials)
+    zebra_ray(depth)  # ValueError for a depth below 1
+    _check_rounds(params, trials)
     tau = mc_indicator_threshold(params, depth)
     if tau >= 1.0:
         raise NoBracketError(f"no zebra-percolation transition detectable at depth {depth} "

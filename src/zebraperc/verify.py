@@ -116,7 +116,7 @@ def _suite_transform() -> list[tuple[str, bool, str]]:
     for label, params, m, count in checks:
         failures = tree.transform_check(params, m)
         ok = not any(failures(montecarlo.sample_tables(params, 2 * m, 0.5, b), (1 << len(b)) - 1)
-                     for b in montecarlo.chunk_bases(0, 0, count))
+                     for b in montecarlo.chunk_bases(params, 0, 0, count))
         results.append((f"transform sampled {label}", ok, f"{count} seeded configurations"))
     return results
 
@@ -150,7 +150,7 @@ def _suite_relation(csv_line, output: str | None) -> list[tuple[str, bool, str]]
             if (p <= pair.p_low or p >= pair.p_high) and (dp_value >= 1e-6 or rel_value >= 1e-6):
                 outside_ok = False
             if pair.p_low + 0.01 <= p <= pair.p_high - 0.01:
-                depth_value = analytic.zebra_dp(params, p, 1000)[-1].z
+                depth_value = analytic.zebra_dp_state(params, p, 1000).z
                 max_gap = max(max_gap, abs(dp_value - depth_value))
         mid_dp = analytic.zebra_limit(params, 0.5)
         mid_rel = analytic.zebra_via_relation(params, 0.5)

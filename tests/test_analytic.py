@@ -25,7 +25,7 @@ from zebraperc import (
     zebra_limit,
     zebra_via_relation,
 )
-from zebraperc.analytic import _even_level_limit
+from zebraperc.analytic import _even_level_limit, zebra_dp_state
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 orders = st.integers(min_value=2, max_value=8)
@@ -247,6 +247,33 @@ class TestZebraDP:
     def test_equal_parities_at_half(self, k, n):
         for state in zebra_dp(TreeParams(k), 0.5, n):
             assert state.a == state.b
+
+
+class TestZebraDPState:
+    """The depth-n state alone, stopped at the first exact repeat of (a, b), is
+    the full iteration's state at depth n."""
+
+    @pytest.mark.parametrize("params", [TreeParams(k, mode) for k in (3, 4) for mode in RootMode])
+    @pytest.mark.parametrize("where", ["0.5", "0.2", "0.13", "0.9", "p_low-", "p_low+"])
+    def test_equals_the_full_iteration(self, params, where):
+        low = zebra_critical_pair(params).p_low
+        p = {"p_low-": low - 1e-3, "p_low+": low + 1e-3}.get(where) or float(where)
+        states = zebra_dp(params, p, 20000)
+        repeat = next(m for m in range(1, len(states))
+                      if states[m][1:3] == states[m - 1][1:3])
+        for n in (0, 1, repeat - 1, repeat, repeat + 1, 2 * repeat, 20000):
+            assert zebra_dp_state(params, p, n) == states[n], n
+
+    def test_constant_time_past_the_repeat(self):
+        # at k = 3, p = 1/2 the state repeats from depth 62
+        assert zebra_dp_state(TreeParams(3), 0.5, 10**12) == \
+            zebra_dp(TreeParams(3), 0.5, 62)[62]._replace(depth=10**12)
+
+    def test_checks(self):
+        with pytest.raises(ValueError):
+            zebra_dp_state(TreeParams(3), 1.5, 3)
+        with pytest.raises(ValueError):
+            zebra_dp_state(TreeParams(3), 0.5, -1)
 
 
 class TestZebraLimit:

@@ -533,6 +533,8 @@ DEMO_INPUTS = {
                 "error: --input: fixture depth 8 unsupported"),
     "alternating-ray": ([], (DATA / "zebra-ray.sigma").read_text(), 0,
                         (DATA / "zebra-ray.out").read_text(), _demo_config(4)),
+    "odd-depth-flag": (["--depth", "3"], (DATA / "zebra-ray.sigma").read_text(), 0,
+                       (DATA / "zebra-ray.out").read_text(), _demo_config(3)),
 }
 
 

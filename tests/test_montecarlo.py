@@ -280,14 +280,19 @@ class TestBruteForce:
 
 
 class TestChunkBases:
+    @pytest.mark.parametrize("lanes,batch", [
+        (kernel.MAX_ROUND_LANES, kernel.TRIAL_BATCH),
+        (3 * 100 + 2, 100),  # a bound that narrows the batches at k = 3
+    ])
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("start,stop", [
         (0, 1024), (1000, 1003), (5, 6),
         (1000, 1000 + kernel.TRIAL_BATCH + 3),  # across a batch boundary
     ])
-    def test_words_are_the_trial_stream_bases(self, seed, start, stop):
-        batches = list(chunk_bases(seed, start, stop))
-        assert all(len(bases) == kernel.TRIAL_BATCH for bases in batches[:-1])
+    def test_words_are_the_trial_stream_bases(self, monkeypatch, seed, start, stop, lanes, batch):
+        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", lanes)
+        batches = list(chunk_bases(P3, seed, start, stop))
+        assert all(len(bases) == batch for bases in batches[:-1])
         assert [w for bases in batches for w in bases] == [
             TrialStream(seed, t).base for t in range(start, stop)]
 
@@ -308,7 +313,7 @@ class TestTransformEquivalence:
 
     @pytest.mark.parametrize("params,m", [(P2, 2), (P3, 2), (TreeParams(2, RootMode.FULL_CAYLEY), 2)])
     def test_batched_check_holds(self, params, m):
-        assert not any(transform_failures(params, 0.5, m, chunk_bases(2, 0, 3000)))
+        assert not any(transform_failures(params, 0.5, m, chunk_bases(params, 2, 0, 3000)))
 
     def test_biased_probabilities_hold(self):
         for p in (0.1, 0.9):
@@ -394,7 +399,7 @@ def _estimate_means(params, p, depth, seed, counts):
     prefix gives every mean.
     """
     outcomes = []
-    for bases in chunk_bases(seed, 0, max(counts)):
+    for bases in chunk_bases(params, seed, 0, max(counts)):
         hits = ray_hits(params, p, depth, bases, alternate=True)
         outcomes += [base in hits for base in bases]
     return {trials: sum(outcomes[:trials]) / trials for trials in counts}
@@ -483,43 +488,79 @@ def refuse_bonds(monkeypatch):
 
 
 class TestRoundWidth:
-    """A kernel round wider than MAX_ROUND_LANES is refused before any bond is drawn."""
+    """The kernel narrows each round to MAX_ROUND_LANES lanes, and refuses, before
+    any bond is drawn, only a tree whose vertices' children alone pass it."""
 
     CASES = [
-        (P3, zebra_ray(4), 10, 30),
-        (P3, open_ray(4), 5000, 3 * kernel.TRIAL_BATCH),
-        (TreeParams(3, RootMode.FULL_CAYLEY), zebra_ray(4), 10, 40),
-        (P3, zebra_count(4), 1, 3 * kernel.COUNT_LANES),
+        (P3, zebra_ray(4), 10),
+        (P3, open_ray(4), 300),
+        (TreeParams(3, RootMode.FULL_CAYLEY), zebra_ray(4), 10),
+        (P3, zebra_count(4), 1),
     ]
 
-    @pytest.mark.parametrize("params,event,trials,lanes", CASES)
-    def test_refused_past_the_bound(self, monkeypatch, params, event, trials, lanes):
+    @pytest.mark.parametrize("params,event,trials", CASES)
+    def test_refused_past_the_bound(self, monkeypatch, params, event, trials):
         refuse_bonds(monkeypatch)
-        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", lanes - 1)
-        with pytest.raises(TooLargeError, match=f"spans {lanes} lanes"):
+        arity = max(params.k, params.root_degree)
+        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", arity - 1)
+        with pytest.raises(TooLargeError, match=f"has {arity} children"):
             estimate_event(params, 0.5, event, trials, 0)
 
-    @pytest.mark.parametrize("params,event,trials,lanes", CASES)
-    def test_runs_at_the_bound(self, monkeypatch, params, event, trials, lanes):
-        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", lanes)
-        assert estimate_event(params, 0.5, event, trials, 0).trials == trials
+    @pytest.mark.parametrize("params,event,trials", CASES)
+    def test_runs_at_the_bound(self, monkeypatch, params, event, trials):
+        want = estimate_event(params, 0.5, event, trials, 0)
+        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", max(params.k, params.root_degree))
+        assert estimate_event(params, 0.5, event, trials, 0) == want
+
+    @pytest.mark.parametrize("params", [TreeParams(2**19 + 1),
+                                        TreeParams(2**19, RootMode.FULL_CAYLEY)])
+    @pytest.mark.parametrize("event", [zebra_ray(1), open_ray(1), zebra_count(1)])
+    def test_refused_past_the_kernel_bound(self, monkeypatch, params, event):
+        refuse_bonds(monkeypatch)
+        with pytest.raises(TooLargeError, match=f"has {2**19 + 1} children"):
+            estimate_event(params, 0.5, event, 1, 0)
 
     def test_critical_refused(self, monkeypatch):
         refuse_bonds(monkeypatch)
-        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", 3 * 1000 - 1)
-        with pytest.raises(TooLargeError, match="spans 3000 lanes"):
+        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", 2)
+        with pytest.raises(TooLargeError, match="has 3 children"):
             find_critical_mc(P3, 12, 1000, 77, workers=2)
 
     def test_cli_exits_4(self, monkeypatch, capsys):
         from zebraperc import cli
 
         refuse_bonds(monkeypatch)
-        monkeypatch.setattr(montecarlo, "MAX_ROUND_LANES", 29)
+        assert cli.main(["eval", "--k", str(2**19 + 1), "--p", "0.5", "--method", "mc",
+                         "--depth", "1", "--trials", "1"]) == 4
+        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", 2)
         assert cli.main(["eval", "--k", "3", "--p", "0.5", "--method", "mc", "--depth", "4",
                          "--trials", "10"]) == 4
         assert cli.main(["critical", "--mode", "zebra-mc", "--k", "3", "--depth", "12",
                          "--trials", "10"]) == 4
         assert capsys.readouterr().out == ""
+
+
+class TestNarrowRounds:
+    """Rounds narrowed by a low MAX_ROUND_LANES give the full-width results: the
+    estimates of all three events, a probe's decision and both thresholds."""
+
+    @staticmethod
+    def results(params):
+        return (
+            [estimate_event(params, 0.5, event, 150, 7) for event in (
+                zebra_ray(6), open_ray(6), zebra_count(5))],
+            [montecarlo._rate_above(params, p, 8, 150, 9, tau)
+             for p in (0.2, 0.5) for tau in (0.1, 0.5, 0.9)],
+            [find_critical_mc(params, 8, 100, 5, 1 / 16, workers) for workers in (1, 2)],
+        )
+
+    @pytest.mark.parametrize("lanes", [4, 29, 100])
+    @pytest.mark.parametrize("mode", list(RootMode))
+    def test_narrow_rounds_equal_full_rounds(self, monkeypatch, mode, lanes):
+        params = TreeParams(3, mode)
+        full = self.results(params)
+        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", lanes)
+        assert self.results(params) == full
 
 
 class TestWorkerCap:
