@@ -256,7 +256,7 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
         if method == "mc":
             trials = _check_int(rc, "trials", 1)
             seed = _check_int(rc, "seed", 0)
-            est = estimate(p, event, trials, seed)
+            est = estimate(event, trials, seed)
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
         value = montecarlo.brute_force_probability(params, p, event)
@@ -280,38 +280,25 @@ def _write_rows(output: str | None, header: str | None, rows) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _grid_estimates(params: TreeParams, ps: list[float]):
-    """estimate(p, event, trials, seed) for the mc rows of a run over the grid ps.
-    The first mc row of a group estimates it with up to kernel.GROUP - 1 grid
-    points after it. The first group opens montecarlo._chunk_map for as many
-    processes as it has chunks, a pool only when there are several; the later
-    groups, with as many chunks, reuse it. Opening it there keeps the first
-    point's option checks first, and a run without mc points imports nothing."""
-    with contextlib.ExitStack() as stack:
-        done, opened = {}, []
-        first = {p: i for i, p in reversed(list(enumerate(ps)))}  # a p's first grid position
-
-        def estimate(p, event, trials, seed):
-            from . import kernel, montecarlo
-
-            def run(fn, jobs):
-                if not opened:
-                    opened.append(stack.enter_context(montecarlo._chunk_map(len(jobs), len(jobs))))
-                return opened[0](fn, jobs)
-
-            if p not in done:
-                group = ps[first[p]:first[p] + kernel.GROUP]
-                done.update(zip(group, montecarlo.estimate_grid(
-                    params, group, event, trials, seed, _workers_from_env(), run)))
-            return done[p]
-
-        yield estimate
-
-
 def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
-    """Evaluate every method at every p, in that order, and write one record each."""
-    with _grid_estimates(params, ps) as estimate:
+    """Evaluate every method at every p, in that order, and write one record each.
+
+    The mc rows come in grid order, so each takes the next estimate of one
+    montecarlo.estimate_grid stream over ps. The first mc row starts it, after
+    its option checks, and it closes on exit; a run without mc rows imports
+    nothing more.
+    """
+    with contextlib.ExitStack() as stack:
+        stream = []
+
+        def estimate(event, trials, seed):
+            if not stream:
+                from . import montecarlo
+
+                stream.append(stack.enter_context(contextlib.closing(montecarlo.estimate_grid(
+                    params, ps, event, trials, seed, _workers_from_env()))))
+            return next(stream[0])
+
         points = (_evaluate_point(params, p, method, rc, estimate)
                   for p in ps for method in methods)
         if rc["format"] == "json":

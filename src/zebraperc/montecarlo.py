@@ -6,11 +6,13 @@ bonds of many trials per big-integer step: existence events by a lockstep
 depth-first search that stops each trial at its first witness, the counting
 event by a walk over the whole zebra cone. estimate_grid folds the outcomes
 of every event with integer merges, so estimates are identical for any worker
-count, any batch size and any execution order. Its chunks carry a group of
-points of one seed, and the counting walk draws each bond word once for the
-whole group; estimate_event is its one-point call. The work of a search grows
-about linearly in depth, but the zebra cone grows geometrically between p_c1
-and p_c2, so a counting estimate must fit a budget of expected lanes.
+count, any batch size and any execution order. It streams the estimates of a
+whole grid of one seed through one pool, in groups of consecutive points
+whose chunks carry the whole group, so the counting walk draws each bond word
+once for all of its points; estimate_event is its one-point call. The work
+of a search grows about linearly in depth, but the zebra cone grows
+geometrically between p_c1 and p_c2, so a counting estimate must fit a budget
+of expected lanes.
 
 A bisection probe needs one bit, whether the estimate exceeds a level, so it
 runs its trials in one process and stops as soon as their count settles that
@@ -231,18 +233,19 @@ def estimate_event(
     trials: int,
     seed: int,
     workers: int = 1,
-    chunk_map=None,
 ) -> Estimate:
     """Hit rate with a Wilson 95% interval, or for the counting event mean X_n with a normal one.
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
-    wall time. This is estimate_grid at the one point p: a tree whose vertices
-    have more children than a kernel round may span, and a counting estimate
-    that expects more than MAX_COUNT_LANES lanes, raise TooLargeError before
-    any bond is drawn.
+    wall time. This is estimate_grid at the one point p, its stream run to the
+    end, so no pool outlives the call: a tree whose vertices have more
+    children than a kernel round may span, and a counting estimate that
+    expects more than MAX_COUNT_LANES lanes, raise TooLargeError before any
+    bond is drawn.
     """
-    return estimate_grid(params, [p], event, trials, seed, workers, chunk_map)[0]
+    [estimate] = estimate_grid(params, [p], event, trials, seed, workers)
+    return estimate
 
 
 def _check_point(params: TreeParams, p: float, event: EventSpec, trials: int) -> None:
@@ -263,35 +266,42 @@ def estimate_grid(
     trials: int,
     seed: int,
     workers: int = 1,
-    chunk_map=None,
-) -> list[Estimate]:
-    """estimate_event at each p of a group of at most kernel.GROUP points, whose
-    chunks carry the whole group.
+):
+    """Yield estimate_event at each p of the grid ps, in order.
 
-    Every p draws the same bond words from the same seed, so one counting walk
-    per batch serves all of them; an existence event runs one search per p.
-    The chunks, one per worker, run through `chunk_map` (the map of a pool the
-    caller holds open) or else through _chunk_map's. The estimates stop
-    before the first p that estimate_event would refuse, and a refused first
-    p raises, so a caller estimating a grid group by group meets each refusal
-    at its own point. Every check comes before any bond is drawn.
+    The grid runs in groups of at most kernel.GROUP consecutive points, whose
+    chunks, one per worker, carry the whole group: every p draws the same
+    bond words from the same seed, so one counting walk per batch serves all
+    of them; an existence event runs one search per p. Each group's points
+    are checked before any of its bonds are drawn, and the first refused
+    point ends its group: the estimates before it are yielded, and its
+    refusal is raised in its place. One _chunk_map, opened for the first
+    group, serves every group and shuts down when the stream ends or is
+    closed.
     """
+    from . import kernel
+
     _check_rounds(params, trials)
-    for i, p in enumerate(ps):
-        try:
-            _check_point(params, p, event, trials)
-        except ValueError:  # TooLargeError included
-            if i == 0:
-                raise
-            ps = ps[:i]
-            break
     workers = min(_resolve_workers(workers), trials)
     step = (trials + workers - 1) // workers
-    jobs = [(params, ps, event, seed, start, min(start + step, trials))
-            for start in range(0, trials, step)]
-    with contextlib.nullcontext(chunk_map) if chunk_map else _chunk_map(workers, len(jobs)) as run:
-        parts = list(run(_chunk, jobs))
-    return [_estimate(event, trials, seed, *map(sum, zip(*point))) for point in zip(*parts)]
+    spans = [(start, min(start + step, trials)) for start in range(0, trials, step)]
+    with contextlib.ExitStack() as stack:
+        run = None
+        for first in range(0, len(ps), kernel.GROUP):
+            group, refusal = ps[first:first + kernel.GROUP], None
+            for i, p in enumerate(group):
+                try:
+                    _check_point(params, p, event, trials)
+                except ValueError as exc:  # TooLargeError included
+                    group, refusal = group[:i], exc
+                    break
+            if group:
+                run = run or stack.enter_context(_chunk_map(workers, len(spans)))
+                parts = list(run(_chunk, [(params, group, event, seed, *span) for span in spans]))
+                for point in zip(*parts):
+                    yield _estimate(event, trials, seed, *map(sum, zip(*point)))
+            if refusal:
+                raise refusal
 
 
 def _estimate(event: EventSpec, trials: int, seed: int, total: int, total_sq: int) -> Estimate:

@@ -55,12 +55,6 @@ def children(params: TreeParams, v: Address) -> list[Address]:
     return [v + (i,) for i in range(degree(params, v))]
 
 
-def parent(v: Address) -> Address:
-    if not v:
-        raise ValueError("the root has no parent")
-    return v[:-1]
-
-
 def vertices_at_level(params: TreeParams, n: int) -> Iterator[Address]:
     """All level-n addresses in lexicographic order."""
     if n < 0:

@@ -26,6 +26,28 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+#: Committed mc sweeps, by file under tests/data: existence estimates at five p,
+#: each the count of 1000 per-trial outcomes; eleven count points in two
+#: groups, between dp rows; 18 points in groups of 8, 8 and 2; one p nine
+#: times, across a group boundary.
+PINNED_SWEEPS = {
+    f"sweep-k3-{event}-depth8-seed11.out": [
+        "--k", "3", "--methods", "mc", "--event", event, "--depth", "8", "--pmin", "0.2",
+        "--pmax", "0.8", "--steps", "5", "--trials", "1000", "--seed", "11"]
+    for event in ("open", "zebra")
+} | {
+    "sweep-k3-zebra-count-dp-depth6-seed5.out": [
+        "--k", "3", "--methods", "mc,dp", "--event", "zebra-count", "--depth", "6",
+        "--trials", "300", "--pmin", "0.3", "--pmax", "0.7", "--steps", "11", "--seed", "5"],
+    "sweep-k3-full-cayley-open-depth6-seed7.out": [
+        "--k", "3", "--full-cayley", "--methods", "mc", "--event", "open", "--depth", "6",
+        "--trials", "400", "--pmin", "0.2", "--pmax", "0.6", "--steps", "18", "--seed", "7"],
+    "sweep-k3-zebra-repeated-p-depth8-seed2.out": [
+        "--k", "3", "--methods", "mc", "--event", "zebra", "--depth", "8", "--trials", "500",
+        "--pmin", "0.4", "--pmax", "0.4", "--steps", "9", "--seed", "2"],
+}
+
+
 def child_env(**extra):
     """os.environ for a child interpreter, with this zebraperc first on its path."""
     src = os.path.dirname(os.path.dirname(zebraperc.__file__))
@@ -266,37 +288,42 @@ class TestSweep:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
-    def test_one_pool_per_mc_sweep(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200", "--steps", "3"],
+        PINNED_SWEEPS["sweep-k3-full-cayley-open-depth6-seed7.out"],
+    ], ids=["one-group", "three-groups"])
+    def test_one_pool_per_mc_sweep(self, capsys, monkeypatch, argv):
         from zebraperc import montecarlo
 
         base = montecarlo._pool_class()
-        starts = []
+        starts, shut = [], []
 
         class CountingPool(base):
             def __init__(self, *args, **kwargs):
                 starts.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
+            def shutdown(self, *args, **kwargs):
+                shut.append(self)
+                super().shutdown(*args, **kwargs)
+
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool, raising=False)
-        argv = ["sweep", "--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200",
-                "--steps", "3"]
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
-            code, out, _ = run_cli(capsys, argv)
+            code, out, _ = run_cli(capsys, ["sweep", *argv])
             assert code == 0
             outputs.append(out)
-        assert starts == [2]  # none at one thread, one for the three points at two
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
+        assert starts == [2] and len(shut) == 1  # none at one thread, one for every group at two
+        assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("event", ["open", "zebra"])
-    def test_ray_estimates_are_pinned(self, capsys, event):
-        """Existence estimates at five p, each the count of 1000 per-trial outcomes."""
-        code, out, _ = run_cli(capsys, ["sweep", "--k", "3", "--methods", "mc", "--event", event,
-                                        "--depth", "8", "--pmin", "0.2", "--pmax", "0.8",
-                                        "--steps", "5", "--trials", "1000", "--seed", "11"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
+    def test_mc_sweeps_are_pinned(self, capsys, monkeypatch, name, threads):
+        monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
+        code, out, _ = run_cli(capsys, ["sweep", *PINNED_SWEEPS[name]])
         assert code == 0
-        assert out == (DATA / f"sweep-k3-{event}-depth8-seed11.out").read_text()
+        assert out == (DATA / name).read_text()
 
     def test_budget_refusal_after_the_rows_before_it(self, capsys, monkeypatch):
         """The 4th of 11 grid points is past the count budget: the first three rows
@@ -341,7 +368,7 @@ class TestSweep:
         assert lines[0] == CSV_HEADER and len(lines) == 6
 
     def test_groups_found_without_a_grid_search(self, capsys, monkeypatch):
-        """Each group's first grid position is looked up, not searched for."""
+        """The mc rows take the grid's estimates in turn; no p is searched for."""
         class Unsearchable(list):
             def index(self, *args):
                 raise AssertionError("the grid was searched")
@@ -349,9 +376,10 @@ class TestSweep:
         grid = cli._grid
         monkeypatch.setattr(cli, "_grid", lambda *args: Unsearchable(grid(*args)))
         monkeypatch.delenv("ZEBRA_PERC_THREADS", raising=False)
-        code, out, _ = run_cli(capsys, TestThreadEnvironment.SWEEP_MC_DP)
+        name = "sweep-k3-zebra-count-dp-depth6-seed5.out"
+        code, out, _ = run_cli(capsys, ["sweep", *PINNED_SWEEPS[name]])
         assert code == 0
-        assert out == CSV_HEADER + "\n" + TestThreadEnvironment.SWEEP_MC_DP_ROWS
+        assert out == (DATA / name).read_text()
 
     def test_unknown_method(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--k", "2", "--methods", "magic"])
@@ -766,6 +794,12 @@ class TestSurface:
 
 
 class TestStartup:
+    def test_event_kinds_are_the_montecarlo_kinds(self):
+        """cli copies the kinds, so that start-up need not import montecarlo."""
+        from zebraperc.montecarlo import EventKind
+
+        assert cli.EVENT_KINDS == tuple(kind.value for kind in EventKind)
+
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = ("import sys, zebraperc.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'numpy') or m.startswith('multiprocessing') "
@@ -864,46 +898,6 @@ class TestThreadEnvironment:
             out, err = proc.communicate()
             assert proc.returncode == 0, err
             assert out == "k,mode,side,value,reference,abs_gap\n" + stdout
-
-    #: Eleven mc points in two walks, split at the eight-point group boundary,
-    #: between dp rows.
-    SWEEP_MC_DP = ["sweep", "--k", "3", "--methods", "mc,dp", "--event", "zebra-count",
-                   "--depth", "6", "--trials", "300", "--pmin", "0.3", "--pmax", "0.7",
-                   "--steps", "11", "--seed", "5"]
-    SWEEP_MC_DP_ROWS = (
-        "3,rooted-k,0.3,6,mc-zebra-count,13.3933333333,12.3667267871,14.4199398796,300,5\n"
-        "3,rooted-k,0.3,6,dp,0.948039075426,0.948039075426,0.948039075426,0,0\n"
-        "3,rooted-k,0.34,6,mc-zebra-count,16.8,15.6080339642,17.9919660358,300,5\n"
-        "3,rooted-k,0.34,6,dp,0.967790719394,0.967790719394,0.967790719394,0,0\n"
-        "3,rooted-k,0.38,6,mc-zebra-count,19.55,18.2475004303,20.8524995697,300,5\n"
-        "3,rooted-k,0.38,6,dp,0.978749612288,0.978749612288,0.978749612288,0,0\n"
-        "3,rooted-k,0.42,6,mc-zebra-count,21.21,19.7978659105,22.6221340895,300,5\n"
-        "3,rooted-k,0.42,6,dp,0.984670678205,0.984670678205,0.984670678205,0,0\n"
-        "3,rooted-k,0.46,6,mc-zebra-count,22.1333333333,20.7279038049,23.5387628618,300,5\n"
-        "3,rooted-k,0.46,6,dp,0.987576462969,0.987576462969,0.987576462969,0,0\n"
-        "3,rooted-k,0.5,6,mc-zebra-count,22.8333333333,21.4616603184,24.2050063483,300,5\n"
-        "3,rooted-k,0.5,6,dp,0.988447933742,0.988447933742,0.988447933742,0,0\n"
-        "3,rooted-k,0.54,6,mc-zebra-count,22.5733333333,21.2122584844,23.9344081823,300,5\n"
-        "3,rooted-k,0.54,6,dp,0.987576462969,0.987576462969,0.987576462969,0,0\n"
-        "3,rooted-k,0.58,6,mc-zebra-count,20.7166666667,19.4401266565,21.9932066769,300,5\n"
-        "3,rooted-k,0.58,6,dp,0.984670678205,0.984670678205,0.984670678205,0,0\n"
-        "3,rooted-k,0.62,6,mc-zebra-count,18.9566666667,17.6859518387,20.2273814946,300,5\n"
-        "3,rooted-k,0.62,6,dp,0.978749612288,0.978749612288,0.978749612288,0,0\n"
-        "3,rooted-k,0.66,6,mc-zebra-count,16.34,15.1444945072,17.5355054928,300,5\n"
-        "3,rooted-k,0.66,6,dp,0.967790719394,0.967790719394,0.967790719394,0,0\n"
-        "3,rooted-k,0.7,6,mc-zebra-count,13.71,12.5681709562,14.8518290438,300,5\n"
-        "3,rooted-k,0.7,6,dp,0.948039075426,0.948039075426,0.948039075426,0,0\n"
-    )
-
-    def test_grouped_sweep_stdout_at_one_and_two_threads(self):
-        procs = [subprocess.Popen([sys.executable, "-m", "zebraperc", *self.SWEEP_MC_DP],
-                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                  env=child_env(ZEBRA_PERC_THREADS=threads))
-                 for threads in ("1", "2")]
-        for proc in procs:
-            out, err = proc.communicate()
-            assert proc.returncode == 0, err
-            assert out == CSV_HEADER + "\n" + "".join(self.SWEEP_MC_DP_ROWS)
 
     @pytest.mark.parametrize("raw,workers", [(None, 1), ("0", 0), ("1", 1), ("3", 3)])
     def test_thread_env_passes_the_count_on(self, monkeypatch, raw, workers):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zebraperc import RootMode, TreeParams, kernel, montecarlo
+from zebraperc import RootMode, TreeParams, cli, kernel, montecarlo
 from zebraperc.analytic import (
     expected_zebra_count,
     open_ray_probability,
@@ -21,6 +21,7 @@ from zebraperc.montecarlo import (
     brute_force_probability,
     chunk_bases,
     estimate_event,
+    estimate_grid,
     find_critical_dp,
     find_critical_mc,
     mc_indicator_threshold,
@@ -438,6 +439,42 @@ class TestExactDecision:
                                               tau) is (mean > tau), (p, trials)
 
 
+class TestGridStream:
+    """estimate_grid streams a grid's estimates in groups of kernel.GROUP points."""
+
+    #: The 18 points of sweep --pmin 0.2 --pmax 0.6, in groups of 8, 8 and 2.
+    GRID = cli._grid(0.2, 0.6, 18)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_stream_equals_the_points(self, kind, workers):
+        params, event = TreeParams(3, RootMode.FULL_CAYLEY), EventSpec(kind, 6)
+        assert list(estimate_grid(params, self.GRID, event, 400, 7, workers)) == [
+            estimate_event(params, p, event, 400, 7) for p in self.GRID]
+
+    def test_refusal_after_the_estimates_before_it(self, monkeypatch):
+        """ps[10], 3rd of the second group, is past the count budget: the ten
+        estimates before it come from walks that never see it, then it raises."""
+        refused = 10
+        monkeypatch.setattr(montecarlo, "MAX_COUNT_LANES",
+                            300 * montecarlo._expected_lanes(P3, self.GRID[refused - 1], 6))
+        before = [estimate_event(P3, p, zebra_count(6), 300, 5) for p in self.GRID[:refused]]
+        groups = []
+
+        def recording(params, group, n, bases):
+            groups.append(list(group))
+            return walk(params, group, n, bases)
+
+        walk = kernel.zebra_counts
+        monkeypatch.setattr(kernel, "zebra_counts", recording)
+        stream = estimate_grid(P3, self.GRID, zebra_count(6), 300, 5)
+        assert [next(stream) for _ in range(refused)] == before
+        with pytest.raises(TooLargeError, match=f"at p={self.GRID[refused]} "):
+            next(stream)
+        assert {tuple(group) for group in groups} == {tuple(self.GRID[:8]),
+                                                      tuple(self.GRID[8:refused])}
+
+
 class TestEventSpec:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -569,6 +606,7 @@ class TestWorkerCap:
 
     @pytest.fixture
     def sizes(self, monkeypatch):
+        """The size of each pool started, negated once the pool has shut down."""
         sizes = []
 
         class RecordingPool:
@@ -581,7 +619,7 @@ class TestWorkerCap:
                 return self
 
             def __exit__(self, *exc):
-                return None
+                sizes[-1] = -sizes[-1]
 
             map = staticmethod(map)
 
@@ -595,11 +633,9 @@ class TestWorkerCap:
     def test_estimates_capped(self, sizes, event, workers):
         one = estimate_event(P3, 0.5, event, 300, 5)
         assert estimate_event(P3, 0.5, event, 300, 5, workers=workers) == one
-        assert sizes == [2]
+        assert sizes == [-2]  # one pool of two, shut down when the estimate returns
 
     def test_sweep_capped(self, sizes, monkeypatch, capsys):
-        from zebraperc import cli
-
         argv = ["sweep", "--k", "3", "--methods", "mc", "--event", "zebra-count", "--depth", "6",
                 "--trials", "300", "--steps", "3", "--seed", "5"]
         outputs = []
@@ -607,7 +643,7 @@ class TestWorkerCap:
             monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
             assert cli.main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert sizes == [2] and outputs[0] == outputs[1]
+        assert sizes == [-2] and outputs[0] == outputs[1]
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

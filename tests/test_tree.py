@@ -24,7 +24,6 @@ from zebraperc.tree import (
     level_size,
     load_tables,
     pair_transform,
-    parent,
     parse_address,
     reach,
     transform_check,
@@ -57,11 +56,7 @@ class TestAddressing:
     def test_parent_child_round_trip(self, params, n):
         for v in vertices_at_level(params, n):
             for c in children(params, v):
-                assert parent(c) == v
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValueError):
-            parent(ROOT)
+                assert c[:-1] == v
 
     def test_edges_sorted_and_counted(self):
         params = TreeParams(2)
