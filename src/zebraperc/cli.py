@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -283,9 +284,10 @@ def _write_rows(output: str | None, header: str | None, rows) -> int:
 def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
     """Evaluate every method at every p, in that order, and write one record each.
 
-    The mc rows come in grid order, so each takes the next estimate of one
-    montecarlo.estimate_grid stream over ps. The first mc row starts it, after
-    its option checks, and it closes on exit; a run without mc rows imports
+    The mc rows come in grid order, so each grid position takes the next
+    estimate of one montecarlo.estimate_grid stream over ps, and every mc row
+    at that position shares it. The first mc row starts the stream, after its
+    option checks, and it closes on exit; a run without mc rows imports
     nothing more.
     """
     with contextlib.ExitStack() as stack:
@@ -299,8 +301,13 @@ def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: d
                     params, ps, event, trials, seed, _workers_from_env()))))
             return next(stream[0])
 
-        points = (_evaluate_point(params, p, method, rc, estimate)
-                  for p in ps for method in methods)
+        def evaluate():
+            for p in ps:
+                once = functools.cache(estimate)
+                for method in methods:
+                    yield _evaluate_point(params, p, method, rc, once)
+
+        points = evaluate()
         if rc["format"] == "json":
             return _write_rows(rc["output"], None, (point.json_line() for point in points))
         return _write_rows(rc["output"], CSV_HEADER, (point.csv_row() for point in points))

@@ -288,11 +288,11 @@ class TestSweep:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("argv", [
-        ["--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200", "--steps", "3"],
-        PINNED_SWEEPS["sweep-k3-full-cayley-open-depth6-seed7.out"],
+    @pytest.mark.parametrize("argv,lines", [
+        (["--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200", "--steps", "3"], 4),
+        (PINNED_SWEEPS["sweep-k3-full-cayley-open-depth6-seed7.out"], 19),
     ], ids=["one-group", "three-groups"])
-    def test_one_pool_per_mc_sweep(self, capsys, monkeypatch, argv):
+    def test_one_pool_per_mc_sweep(self, capsys, monkeypatch, argv, lines):
         from zebraperc import montecarlo
 
         base = montecarlo._pool_class()
@@ -315,7 +315,7 @@ class TestSweep:
             assert code == 0
             outputs.append(out)
         assert starts == [2] and len(shut) == 1  # none at one thread, one for every group at two
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == lines
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
@@ -324,6 +324,18 @@ class TestSweep:
         code, out, _ = run_cli(capsys, ["sweep", *PINNED_SWEEPS[name]])
         assert code == 0
         assert out == (DATA / name).read_text()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_repeated_mc_method_repeats_each_row(self, capsys, monkeypatch, threads):
+        """Both mc rows at a grid point carry that point's estimate, across groups."""
+        name = "sweep-k3-full-cayley-open-depth6-seed7.out"
+        argv = ["sweep", *PINNED_SWEEPS[name]]
+        argv[argv.index("--methods") + 1] = "mc,mc"
+        monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        header, *rows = (DATA / name).read_text().splitlines()
+        assert out.splitlines() == [header, *(row for row in rows for _ in range(2))]
 
     def test_budget_refusal_after_the_rows_before_it(self, capsys, monkeypatch):
         """The 4th of 11 grid points is past the count budget: the first three rows
