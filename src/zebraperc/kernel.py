@@ -28,7 +28,8 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter, not_, sub
 
 from .params import TooLargeError, TreeParams
 from .rng import _GOLDEN, _MASK, _TO_UNIT, ROOT_KEY, mix64
@@ -47,6 +48,9 @@ COUNT_LANES = 2048
 #: 204 MB at k = 2,048 and 215 MB at k = 20,000 to depth 2, and at 476 MB at
 #: k = 512 and 506 MB at k = 2,048 to depth 8 (Python 3.11).
 MAX_ROUND_LANES = 2**19
+#: Entries of ray_hits' first list of lane indices (see ray_hits); it doubles
+#: as rounds widen past it.
+INDEX_START = 1024
 #: Probabilities one counting walk serves: the bits of a byte.
 GROUP = 8
 
@@ -214,7 +218,8 @@ def _int(flags: bytes) -> int:
 
 
 def _repeat(items, times: int):
-    """Each item of an array or a bytes-like once per child; bytes come back as a bytearray."""
+    """Each item of a list, an array or a bytes-like once per child; bytes come back as a
+    bytearray."""
     out = (bytearray(items) if isinstance(items, bytes) else items) * times
     for i in range(times):
         out[i::times] = items
@@ -236,11 +241,20 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
 
     A lockstep depth-first search: each round expands one vertex, the hot
     lane, of every trial still searching, by Rounds.expand with the group
-    [p]. The hot lane moves to its first wanted child, picked with byte
-    masks, and the other wanted children go on the trial's stack, deepest on
-    top. A trial whose hot lane has no wanted child resumes from its stack,
-    and a trial stops at its first path; one whose stack is empty as well is
-    a miss.
+    [p]. The hot lane moves to its first wanted child, and the other wanted
+    children go on the trial's stack, deepest on top, as (key, state, edges
+    left below it) entries. A trial whose hot lane has no wanted child
+    resumes from its stack, and a trial stops at its first path; one whose
+    stack is empty as well is a miss.
+
+    A round makes Python objects only for the lanes it keeps. Byte masks mark
+    the descend lanes (each vertex's first wanted child) and the push lanes
+    (its other wanted children); compress over a list of lane indices, which
+    grows by doubling from INDEX_START to the widest round so far, turns each
+    mask into indices without making an int per lane, and one itemgetter of
+    those indices gathers the kept keys and open bits. Each hot lane's trial
+    (its base word), that trial's stack and the edges left below the lane's
+    children are held in lists, and a stack entry needs no owner.
 
     With stop = (hits, misses) the search ends after the first round by which
     at least `hits` trials have hit or at least `misses` have missed, and the
@@ -251,54 +265,70 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     stop_hits, stop_misses = stop or (len(bases) + 1, len(bases) + 1)
     misses = 0
     hit: set[int] = set()
-    stacks: defaultdict[int, list] = defaultdict(list)
-    owners = array("Q", bases)
+    owners = list(bases)  # the trial of each hot lane
+    piles = [[] for _ in owners]  # and that trial's stack
     keys = array("Q", [ROOT_KEY]) * len(owners)
     states = bytearray()  # the state of each hot lane's own edge; none at the root
-    left = array("l", [n]) * len(bases)  # edges left below each hot lane
+    left = [n - 1] * len(owners)  # edges left below each hot lane's children
+    index = list(range(INDEX_START))
     arity = root_degree
     while keys:
         m = len(keys)
-        lanes, flags = rounds.expand(keys, owners, arity)
+        width = m * arity
+        lanes, flags = rounds.expand(keys, array("Q", owners), arity)
+        child = lane_keys(lanes)
+        del lanes  # not held while the next round is expanded
+        if width > len(index):
+            index = list(range(max(width, 2 * len(index))))
         if not alternate:
             wanted = flags
         elif states:
             wanted = _wanted(flags, states, arity)
         else:  # below the root either state starts a zebra path
-            wanted = b"\x01" * len(flags)
-        first = bytearray(len(flags))  # each vertex's first wanted child
+            wanted = b"\x01" * width
+        first = bytearray(width)  # each vertex's first wanted child
         seen = 0  # vertices with a wanted child
         for i in range(arity):
             lane = _int(wanted[i::arity])
             first[i::arity] = (lane & ~seen).to_bytes(m, "little")
             seen |= lane
-        leaf = _int(bytes(map((1).__eq__, left)))
-        hit.update(compress(owners, (seen & leaf).to_bytes(m, "little")))
-        going = (seen & ~leaf).to_bytes(m, "little")
-        below = _int(_repeat(going, arity))
-        child = lane_keys(lanes)
-        rest = ((_int(wanted) ^ _int(first)) & below).to_bytes(len(flags), "little")
-        if 1 in rest:  # pushed last sibling first, so that the first is resumed first
-            entries = zip(compress(_repeat(owners, arity), rest), compress(child, rest),
-                          compress(flags, rest), compress(_repeat(left, arity), rest))
-            for entry in reversed(list(entries)):
-                stacks[entry[0]].append(entry)
-        descend = (_int(first) & below).to_bytes(len(flags), "little")
-        stuck_owners = compress(owners, seen.to_bytes(m, "little").translate(_FLIP))
-        keys = array("Q", compress(child, descend))
-        owners = array("Q", compress(owners, going))
-        states = bytearray(compress(flags, descend))
-        left = array("l", map((-1).__add__, compress(left, going)))
-        for owner in stuck_owners:
-            stack = stacks.get(owner)
-            if stack:
-                _, key, state, parent_left = stack.pop()
-                keys.append(key)
-                owners.append(owner)
-                states.append(state)
-                left.append(parent_left - 1)
-            else:
-                misses += 1
+        first = _int(first)
+        rest = _int(wanted) ^ first  # each vertex's other wanted children
+        leaf = _int(bytes(map(not_, left))) if 0 in left else 0
+        going = seen & ~leaf
+        if leaf:  # a wanted child of a leaf ends a path, and no child of a leaf is kept
+            hit.update(compress(owners, (seen & leaf).to_bytes(m, "little")))
+            below = _int(_repeat(going.to_bytes(m, "little"), arity))
+            first &= below
+            rest &= below
+        going = going.to_bytes(m, "little")
+        # two leading 0s make even one lane's gather a tuple: [2:] drops them, and
+        # [:1:-1] drops them and reverses
+        if rest:  # pushed last sibling first, so that the first is resumed first
+            get = itemgetter(0, 0, *compress(index, rest.to_bytes(width, "little")))
+            entries = zip(get(child)[:1:-1], get(flags)[:1:-1], get(_repeat(left, arity))[:1:-1])
+            any(map(list.append, get(_repeat(piles, arity))[:1:-1], entries))
+        get = itemgetter(0, 0, *compress(index, first.to_bytes(width, "little")))
+        stuck = seen.to_bytes(m, "little").translate(_FLIP)
+        resumed = []  # the stacks that trials with no wanted child resume from
+        if 1 in stuck:
+            stuck_piles = list(compress(piles, stuck))
+            resumed_owners = list(compress(compress(owners, stuck), stuck_piles))
+            resumed = list(filter(None, stuck_piles))
+            misses += len(stuck_piles) - len(resumed)  # an empty stack is a miss
+        keys = array("Q", get(child)[2:])
+        states = bytearray(get(flags)[2:])
+        owners = list(compress(owners, going))
+        piles = list(compress(piles, going))
+        left = list(compress(left, going))
+        if resumed:
+            owners.extend(resumed_owners)
+            piles += resumed
+            popped_keys, popped_states, popped_left = zip(*map(list.pop, resumed))
+            keys.extend(popped_keys)
+            states.extend(popped_states)
+            left.extend(popped_left)
+        left = list(map(sub, left, repeat(1)))
         if len(hit) >= stop_hits or misses >= stop_misses:
             break
         arity = k
@@ -367,9 +397,17 @@ def trial_bases(seed: int, first: int, last: int) -> list[int]:
     return lane_keys(mixed.to_bytes(len(words), "little")).tolist()
 
 
-#: The batch size and lane mask of edge_flags' last batch, kept for the next
-#: batch of that size.
-_flag_mask = (0, 0)
+#: The edge keys, lane mask and key lanes of edge_flags' last batch, kept for
+#: the next batch of those edges and that size.
+_flag_lanes: tuple[tuple[int, ...], int, int, int] = ((), 0, 0, 0)
+
+
+def _lanes_int(buf: array) -> int:
+    """The words of buf as one int, word i in bits [64i, 64i + 64), so that a
+    16-byte lane holds buf[2j] and then buf[2j + 1]."""
+    if _SWAP:
+        buf.byteswap()
+    return int.from_bytes(buf, "little")
 
 
 def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytearray:
@@ -379,10 +417,16 @@ def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytearray
     is 1 when edge j is open in the trial with base word bases[t]: the
     OpenTable of [p] at its bond word mix64(bases[t] ^ keys[j]).
     """
-    global _flag_mask
-    n = len(keys) * len(bases)
-    if _flag_mask[0] != n:
-        _flag_mask = (n, lane_mask(n))
-    trial_words = b"".join(_lane_bytes(base) * len(keys) for base in bases)
-    word = mix_lanes(_int(_lane_bytes(*keys) * len(bases)) ^ _int(trial_words), _flag_mask[1])
+    global _flag_lanes
+    edges, n = len(keys), len(keys) * len(bases)
+    if _flag_lanes[:2] != (tuple(keys), n):
+        lanes = array("Q", bytes(_LANE * n))  # lane t*edges + j holds keys[j]
+        lanes[0::2] = array("Q", keys) * len(bases)
+        _flag_lanes = (tuple(keys), n, lane_mask(n), _lanes_int(lanes))
+    _, _, mask, key_lanes = _flag_lanes
+    lanes = array("Q", bytes(_LANE * n))  # lane t*edges + j holds bases[t]
+    bases = array("Q", bases)
+    for j in range(edges):
+        lanes[2 * j :: 2 * edges] = bases
+    word = mix_lanes(_lanes_int(lanes) ^ key_lanes, mask)
     return OpenTable([p])((word << 64).to_bytes(_LANE * n, "little"))

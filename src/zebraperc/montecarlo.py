@@ -449,11 +449,14 @@ def find_critical_dp(params: TreeParams, tol: float = BISECTION_TOL) -> Critical
 
 
 def mc_indicator_threshold(params: TreeParams, depth: int) -> float:
-    """Detection level for the finite-depth estimate: 1.5x the critical scale.
+    """Detection level tau = 6 / ((1 - k^-2) n) for the zebra-ray estimate at depth n.
 
-    A critical alternating-path process survives to depth n with probability
-    about 4 / ((1 - k^-2) n); anything materially above that at the probe
-    depth is treated as supercritical.
+    An estimate above tau at the probe depth counts as supercritical. tau is
+    not a fixed multiple of the critical survival probability z_n(p_c): by
+    the exact recursion, n z_n(p_c) tends to 4d / (k - 1), d the root degree,
+    so for large n tau is about 1.13 z_n(p_c) at k = 3 and 1.20 z_n(p_c) at
+    k = 4 in rooted-k mode, but 0.85 z_n(p_c) and 0.96 z_n(p_c) in
+    full-Cayley mode.
     """
     return 6.0 / (depth * (1.0 - 1.0 / (params.k * params.k)))
 
@@ -500,16 +503,21 @@ def find_critical_mc(
     """Monte-Carlo counterpart of find_critical_dp, a finite-depth proxy.
 
     Bisects the indicator 'estimated P(alternating ray to `depth`) above the
-    depth-dependent detection level'. The located points sit slightly inside
-    the true interval, with bias shrinking as the probe depth grows. Probe i
-    of each side draws from sub-seed derive_seed(seed, i), and _rate_above
-    decides it exactly, so the search is reproducible. A probe stops once its
-    answer is certain, so it runs all of its trials in one process: with more
-    than one worker the two sides run in a pool of two processes, shut down
-    when the search returns. Before any bond is drawn, depth or trials below
-    1 raise ValueError, a tree whose vertices have more children than a kernel
-    round may span TooLargeError, and a detection level of 1 or more, which
-    no estimate exceeds, NoBracketError.
+    depth-dependent detection level'. The located points carry a finite-depth
+    bias that shrinks as the probe depth grows. Its sign depends on how the
+    detection level compares with the critical survival probability (see
+    mc_indicator_threshold): inward, into (p_c1, p_c2), where the level is
+    above it, as in rooted-k mode; outward where it is below, as in
+    full-Cayley mode at k = 3 from about depth 64 and at k = 4 from about
+    depth 256. The default resolution, 1/256, is coarser than that outward
+    bias. Probe i of each side draws from sub-seed derive_seed(seed, i), and
+    _rate_above decides it exactly, so the search is reproducible. A probe
+    stops once its answer is certain, so it runs all of its trials in one
+    process: with more than one worker the two sides run in a pool of two
+    processes, shut down when the search returns. Before any bond is drawn,
+    depth or trials below 1 raise ValueError, a tree whose vertices have more
+    children than a kernel round may span TooLargeError, and a detection level
+    of 1 or more, which no estimate exceeds, NoBracketError.
     """
     zebra_ray(depth)  # ValueError for a depth below 1
     _check_rounds(params, trials)

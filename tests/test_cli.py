@@ -325,6 +325,15 @@ class TestSweep:
         assert code == 0
         assert out == (DATA / name).read_text()
 
+    def test_wide_open_sweep_is_pinned(self, capsys, monkeypatch):
+        """k = 1000: a batch of 524 trials, whose first round spans 524,000 lanes."""
+        monkeypatch.setenv("ZEBRA_PERC_THREADS", "1")
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--k", "1000", "--methods", "mc", "--event", "open", "--depth", "4",
+            "--pmin", "0.0008", "--pmax", "0.002", "--steps", "3", "--trials", "600", "--seed", "5"])
+        assert code == 0
+        assert out == (DATA / "sweep-k1000-open-depth4-seed5.out").read_text()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_repeated_mc_method_repeats_each_row(self, capsys, monkeypatch, threads):
         """Both mc rows at a grid point carry that point's estimate, across groups."""
@@ -887,18 +896,20 @@ class TestThreadEnvironment:
         assert outputs == {self.CRITICAL_MC}
         assert (DATA / "critical-k3-zebra-mc-depth8-seed5.out").read_text() == self.CRITICAL_MC
 
-    # the two benchmark commands and a --full-cayley one, decided probe by probe
+    # the two benchmark commands and two --full-cayley ones, decided probe by probe
     @pytest.mark.parametrize("argv,stdout", [
         (["--k", "3", "--depth", "16", "--trials", "2000", "--seed", "3"],
          "3,zebra-mc,lower,0.146484375,0.12732200375,0.01916237125\n"
          "3,zebra-mc,upper,0.853515625,0.87267799625,0.01916237125\n"),
         (["--k", "4", "--depth", "12", "--trials", "2000", "--seed", "3"],
-         "4,zebra-mc,lower,0.083984375,0.0669872981078,0.0169970768922\n"
-         "4,zebra-mc,upper,0.916015625,0.933012701892,0.0169970768922\n"),
+         (DATA / "critical-k4-zebra-mc-depth12-seed3.out").read_text().split("\n", 1)[1]),
         (["--full-cayley", "--k", "3", "--depth", "10", "--trials", "700", "--seed", "41"],
          "3,zebra-mc,lower,0.154296875,0.12732200375,0.02697487125\n"
          "3,zebra-mc,upper,0.841796875,0.87267799625,0.03088112125\n"),
-    ], ids=["k3-depth16", "k4-depth12", "full-cayley-k3"])
+        (["--full-cayley", "--k", "3", "--depth", "16", "--trials", "2000", "--seed", "7"],
+         (DATA / "critical-k3-full-cayley-zebra-mc-depth16-seed7.out").read_text()
+         .split("\n", 1)[1]),
+    ], ids=["k3-depth16", "k4-depth12", "full-cayley-k3", "full-cayley-k3-depth16"])
     def test_critical_mc_stdout_at_one_and_two_threads(self, argv, stdout):
         # both runs at once: a 2-core machine has room for them side by side
         procs = [subprocess.Popen([sys.executable, "-m", "zebraperc", "critical",

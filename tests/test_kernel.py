@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from zebraperc import RootMode, TreeParams, montecarlo
+from zebraperc import RootMode, TreeParams, kernel, montecarlo
 from zebraperc.analytic import zebra_critical_pair
 from zebraperc.kernel import (
     COUNT_LANES,
@@ -185,11 +185,13 @@ class TestLanes:
                           for key in edge_keys]
 
     def test_batches_of_equal_size_at_another_p(self):
-        """The lane mask kept from one batch serves the next at another p as well."""
-        params, depth = TreeParams(2), 3
-        edge_keys = [vertex_key(e) for e in edges(params, depth)]
-        streams = [TrialStream(5, t) for t in range(8)]
-        for p in (0.2, 0.2, 0.8, 0.2):
+        """The lanes kept from one batch serve the next at another p as well, and a
+        batch of other edges in as many lanes builds its own: 14 edges x 8 trials,
+        then 16 x 7."""
+        k2, full3 = (TreeParams(2), 3, 8), (TreeParams(3, RootMode.FULL_CAYLEY), 2, 7)
+        for (params, depth, trials), p in ((k2, 0.2), (k2, 0.2), (k2, 0.8), (full3, 0.8), (k2, 0.2)):
+            edge_keys = [vertex_key(e) for e in edges(params, depth)]
+            streams = [TrialStream(5, t) for t in range(trials)]
             tables = montecarlo.sample_tables(params, depth, p, [s.base for s in streams])
             assert tables == [sum(s.is_open(key, p) << t for t, s in enumerate(streams))
                               for key in edge_keys]
@@ -200,6 +202,15 @@ def _cases():
         p_low = zebra_critical_pair(TreeParams(k)).p_low
         for mode in RootMode:
             for p in (0.0, 1.0, 1 / k, math.nextafter(p_low, 1.0)):
+                yield TreeParams(k, mode), p
+
+
+def _deep_cases():
+    """p just inside each zebra threshold, and p = 1/k, for k = 3, 4 in both root modes."""
+    for k in (3, 4):
+        pair = zebra_critical_pair(TreeParams(k))
+        for mode in RootMode:
+            for p in (math.nextafter(pair.p_low, 1.0), math.nextafter(pair.p_high, 0.0), 1 / k):
                 yield TreeParams(k, mode), p
 
 
@@ -217,6 +228,35 @@ class TestAgainstRecursiveSearch:
                 assert (s.base in opened) == ref_open_ray(params, p, n, s)
                 assert (s.base in zebra) == ref_zebra_ray(params, p, n, s)
                 assert counts.get(s.base, 0) == ref_zebra_count(params, p, n, s)
+
+    @pytest.mark.parametrize("params,p", list(_deep_cases()))
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_deep_searches(self, params, p, n):
+        # near the thresholds the stacks are deepest and the searches backtrack most
+        streams = [TrialStream(n, t) for t in range(40)]
+        bases = [s.base for s in streams]
+        opened = ray_hits(params, p, n, bases, alternate=False)
+        zebra = ray_hits(params, p, n, bases, alternate=True)
+        for s in streams:
+            assert (s.base in opened) == ref_open_ray(params, p, n, s)
+            assert (s.base in zebra) == ref_zebra_ray(params, p, n, s)
+
+    @pytest.mark.parametrize("start", [1, 1000])
+    def test_rounds_wider_than_the_first_lane_index(self, monkeypatch, start):
+        # a lane index shorter than its round would end compress early and drop
+        # lanes without an error; here the first round, 1,500 lanes, passes the
+        # start size, by far (it is taken whole) and by less than twice (it doubles)
+        monkeypatch.setattr(kernel, "INDEX_START", start)
+        params, n, trials = TreeParams(4, RootMode.FULL_CAYLEY), 12, 300
+        streams = [TrialStream(3, t) for t in range(trials)]
+        bases = [s.base for s in streams]
+        assert trials * params.root_degree > start
+        opened = ray_hits(params, 0.3, n, bases, alternate=False)
+        zebra = ray_hits(params, 0.1, n, bases, alternate=True)
+        assert 0 < len(opened) < trials and 0 < len(zebra) < trials
+        for s in streams:
+            assert (s.base in opened) == ref_open_ray(params, 0.3, n, s)
+            assert (s.base in zebra) == ref_zebra_ray(params, 0.1, n, s)
 
     def test_one_trial_samplers(self):
         # a batch of one base word: no other trial shares the rounds
