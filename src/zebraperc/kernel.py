@@ -48,9 +48,6 @@ COUNT_LANES = 2048
 #: 204 MB at k = 2,048 and 215 MB at k = 20,000 to depth 2, and at 476 MB at
 #: k = 512 and 506 MB at k = 2,048 to depth 8 (Python 3.11).
 MAX_ROUND_LANES = 2**19
-#: Entries of ray_hits' first list of lane indices (see ray_hits); it doubles
-#: as rounds widen past it.
-INDEX_START = 1024
 #: Probabilities one counting walk serves: the bits of a byte.
 GROUP = 8
 
@@ -249,12 +246,13 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
 
     A round makes Python objects only for the lanes it keeps. Byte masks mark
     the descend lanes (each vertex's first wanted child) and the push lanes
-    (its other wanted children); compress over a list of lane indices, which
-    grows by doubling from INDEX_START to the widest round so far, turns each
-    mask into indices without making an int per lane, and one itemgetter of
-    those indices gathers the kept keys and open bits. Each hot lane's trial
-    (its base word), that trial's stack and the edges left below the lane's
-    children are held in lists, and a stack entry needs no owner.
+    (its other wanted children); compress over a list of lane indices turns
+    each mask into indices without making an int per lane, and one itemgetter
+    of those indices gathers the kept keys and open bits. A trial has at most
+    one hot lane and k <= root_degree, so the first round is the widest and
+    the list is built once, to its width. Each hot lane's trial (its base
+    word), that trial's stack and the edges left below the lane's children
+    are held in lists, and a stack entry needs no owner.
 
     With stop = (hits, misses) the search ends after the first round by which
     at least `hits` trials have hit or at least `misses` have missed, and the
@@ -270,7 +268,7 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
     keys = array("Q", [ROOT_KEY]) * len(owners)
     states = bytearray()  # the state of each hot lane's own edge; none at the root
     left = [n - 1] * len(owners)  # edges left below each hot lane's children
-    index = list(range(INDEX_START))
+    index = list(range(len(bases) * root_degree))  # the lanes of the widest round, the first
     arity = root_degree
     while keys:
         m = len(keys)
@@ -278,8 +276,6 @@ def ray_hits(params: TreeParams, p: float, n: int, bases: Sequence[int],
         lanes, flags = rounds.expand(keys, array("Q", owners), arity)
         child = lane_keys(lanes)
         del lanes  # not held while the next round is expanded
-        if width > len(index):
-            index = list(range(max(width, 2 * len(index))))
         if not alternate:
             wanted = flags
         elif states:

@@ -29,7 +29,8 @@ def run_cli(capsys, argv):
 #: Committed mc sweeps, by file under tests/data: existence estimates at five p,
 #: each the count of 1000 per-trial outcomes; eleven count points in two
 #: groups, between dp rows; 18 points in groups of 8, 8 and 2; one p nine
-#: times, across a group boundary.
+#: times, across a group boundary; k = 1000, whose batch of 524 trials makes a
+#: first round of 524,000 lanes.
 PINNED_SWEEPS = {
     f"sweep-k3-{event}-depth8-seed11.out": [
         "--k", "3", "--methods", "mc", "--event", event, "--depth", "8", "--pmin", "0.2",
@@ -45,6 +46,9 @@ PINNED_SWEEPS = {
     "sweep-k3-zebra-repeated-p-depth8-seed2.out": [
         "--k", "3", "--methods", "mc", "--event", "zebra", "--depth", "8", "--trials", "500",
         "--pmin", "0.4", "--pmax", "0.4", "--steps", "9", "--seed", "2"],
+    "sweep-k1000-open-depth4-seed5.out": [
+        "--k", "1000", "--methods", "mc", "--event", "open", "--depth", "4", "--pmin", "0.0008",
+        "--pmax", "0.002", "--steps", "3", "--trials", "600", "--seed", "5"],
 }
 
 
@@ -324,15 +328,6 @@ class TestSweep:
         code, out, _ = run_cli(capsys, ["sweep", *PINNED_SWEEPS[name]])
         assert code == 0
         assert out == (DATA / name).read_text()
-
-    def test_wide_open_sweep_is_pinned(self, capsys, monkeypatch):
-        """k = 1000: a batch of 524 trials, whose first round spans 524,000 lanes."""
-        monkeypatch.setenv("ZEBRA_PERC_THREADS", "1")
-        code, out, _ = run_cli(capsys, [
-            "sweep", "--k", "1000", "--methods", "mc", "--event", "open", "--depth", "4",
-            "--pmin", "0.0008", "--pmax", "0.002", "--steps", "3", "--trials", "600", "--seed", "5"])
-        assert code == 0
-        assert out == (DATA / "sweep-k1000-open-depth4-seed5.out").read_text()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_repeated_mc_method_repeats_each_row(self, capsys, monkeypatch, threads):

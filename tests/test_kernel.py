@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from zebraperc import RootMode, TreeParams, kernel, montecarlo
+from zebraperc import RootMode, TreeParams, montecarlo
 from zebraperc.analytic import zebra_critical_pair
 from zebraperc.kernel import (
     COUNT_LANES,
@@ -241,16 +241,12 @@ class TestAgainstRecursiveSearch:
             assert (s.base in opened) == ref_open_ray(params, p, n, s)
             assert (s.base in zebra) == ref_zebra_ray(params, p, n, s)
 
-    @pytest.mark.parametrize("start", [1, 1000])
-    def test_rounds_wider_than_the_first_lane_index(self, monkeypatch, start):
-        # a lane index shorter than its round would end compress early and drop
-        # lanes without an error; here the first round, 1,500 lanes, passes the
-        # start size, by far (it is taken whole) and by less than twice (it doubles)
-        monkeypatch.setattr(kernel, "INDEX_START", start)
+    def test_wide_first_round(self):
+        # compress over a lane index shorter than its round would stop early and
+        # drop lanes without an error; the first round here spans 1,500 lanes
         params, n, trials = TreeParams(4, RootMode.FULL_CAYLEY), 12, 300
         streams = [TrialStream(3, t) for t in range(trials)]
         bases = [s.base for s in streams]
-        assert trials * params.root_degree > start
         opened = ray_hits(params, 0.3, n, bases, alternate=False)
         zebra = ray_hits(params, 0.1, n, bases, alternate=True)
         assert 0 < len(opened) < trials and 0 < len(zebra) < trials
