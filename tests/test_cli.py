@@ -504,6 +504,12 @@ ORACLE_STDOUT = [
      CSV_HEADER + "\n4,rooted-k,0.3,2,brute-zebra-count,6.72,6.72,6.72,0,0\n"),
     ("eval --k 2 --full-cayley --p 0.3 --method brute-force --event zebra-count --depth 3",
      CSV_HEADER + "\n2,full-cayley,0.3,3,brute-zebra-count,2.52,2.52,2.52,0,0\n"),  # 21 edges
+    ("eval --k 3 --p 0.4 --method brute-force --event open --depth 2",
+     CSV_HEADER + "\n3,rooted-k,0.4,2,brute-open,0.676606099456,0.676606099456,"
+     "0.676606099456,0,0\n"),
+    ("eval --k 2 --full-cayley --p 0.6 --method brute-force --event open --depth 3",
+     CSV_HEADER + "\n2,full-cayley,0.6,3,brute-open,0.835784873539,0.835784873539,"
+     "0.835784873539,0,0\n"),  # 21 edges
 ]
 
 
