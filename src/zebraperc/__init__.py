@@ -1,9 +1,11 @@
 """Percolation engine for rooted Cayley trees.
 
 Computes the standard percolation function and the alternating-path (zebra)
-percolation function by three independent routes: closed-form / fixed-point
-analysis, exact finite-depth recursion, and Monte-Carlo simulation, with an
-exhaustive small-tree oracle tying them together.
+percolation function by three independent routes, one module each: closed
+forms, fixed points and the exact finite-depth recursion (analytic), exhaustive
+enumeration of small truncations (tree), and seeded Monte-Carlo simulation
+(montecarlo, on kernel and rng). params holds the types they share, and
+`zebraperc verify` ties the routes together.
 
 Importing the package loads none of its modules. Each name in __all__ is
 imported from its home module on first access (PEP 562) and then kept as an
@@ -22,14 +24,17 @@ _EXPORTS = {
         "zebra_limit", "zebra_via_relation",
     ),
     "montecarlo": (
-        "Estimate", "EventKind", "EventSpec", "NoBracketError",
-        "brute_force_probability", "estimate_event", "find_critical_dp", "find_critical_mc",
-        "open_ray", "sample_tables", "wilson_interval", "zebra_count", "zebra_ray",
+        "Estimate", "NoBracketError", "estimate_event", "find_critical_dp", "find_critical_mc",
+        "sample_tables", "wilson_interval",
     ),
-    "params": ("FIXED_POINT_CONFIG", "LIMIT_CONFIG", "RootMode", "SolverConfig", "TreeParams"),
+    "params": (
+        "FIXED_POINT_CONFIG", "LIMIT_CONFIG", "EventKind", "EventSpec", "RootMode",
+        "SolverConfig", "TreeParams", "open_ray", "zebra_count", "zebra_ray",
+    ),
     "rng": ("TrialStream", "derive_seed"),
     "tree": (
-        "InvalidHatEdgeError", "TooLargeError", "children", "hat_edge_decompose", "level_size",
+        "InvalidHatEdgeError", "TooLargeError", "brute_force_probability", "children",
+        "hat_edge_decompose", "level_size",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -27,6 +27,8 @@ from .params import (
     FIXED_POINT_CONFIG,
     LIMIT_CONFIG,
     MC_BISECTION_TOL,
+    EventKind,
+    EventSpec,
     NoBracketError,
     RootMode,
     SolverConfig,
@@ -40,12 +42,10 @@ from .params import (
 
 CSV_HEADER = "k,root_mode,p,depth,method,value,ci_low,ci_high,trials,seed"
 
-#: Event names of --event, the values of montecarlo.EventKind.
-EVENT_KINDS = ("open", "zebra", "zebra-count")
 #: Fields that take one of a fixed set of strings, from a flag or from --config.
 CHOICES = {
     "method": ("closed-form", "fixed-point", "dp", "relation", "mc", "brute-force"),
-    "event": EVENT_KINDS,
+    "event": tuple(kind.value for kind in EventKind),
     "format": ("csv", "json"),
     "mode": ("standard", "zebra-dp", "zebra-mc"),
     "suite": ("closed-form", "inverse", "oracle", "transform", "relation", "all"),
@@ -249,18 +249,18 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
         else:
             value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
     else:
-        from . import montecarlo
-
         event_name = rc["event"]
         depth = _check_int(rc, "depth", 1)
-        event = montecarlo.EventSpec(montecarlo.EventKind(event_name), depth)
+        event = EventSpec(EventKind(event_name), depth)
         if method == "mc":
             trials = _check_int(rc, "trials", 1)
             seed = _check_int(rc, "seed", 0)
             est = estimate(event, trials, seed)
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
-        value = montecarlo.brute_force_probability(params, p, event)
+        from . import tree
+
+        value = tree.brute_force_probability(params, p, event)
         method = f"brute-{event_name}"
     return CurvePoint(params.k, params.root_mode, p, depth, method,
                       value, value, value, trials, seed)
@@ -419,8 +419,7 @@ _DEMO_FIELDS = {
 
 
 def cmd_transform_demo(args: argparse.Namespace) -> int:
-    from . import montecarlo, tree
-    from .rng import TrialStream
+    from . import tree
 
     rc = _resolve(args, _DEMO_FIELDS)
     params = _tree_params(rc)
@@ -441,25 +440,21 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
         if depth > 6:
             raise TooLargeError(f"transform demo supports depth <= 6, got {depth}")
         p, seed = _check_prob(rc, "p"), _check_int(rc, "seed", 0)
+        from . import montecarlo
+        from .rng import TrialStream
+
         tables = montecarlo.sample_tables(params, depth, p, [TrialStream(seed, 0).base])
     m = depth // 2
-    (edge_list, roots, below), (hat_edges, hat_roots, hat_below), image = \
-        tree.pair_transform(params, m)
-    plus, minus = image(tables)
-    witnesses = (  # start 1 or 0: a path may begin on that edge in the one configuration or not
-        ("zebra-open", edge_list, tree.reach(below, [(j, tables[j]) for j in roots], tables, True)),
-        ("zebra-closed", edge_list,
-         tree.reach(below, [(j, 1 ^ tables[j]) for j in roots], tables, True)),
-        ("plus", hat_edges, tree.reach(hat_below, [(j, 1) for j in hat_roots], plus, False)),
-        ("minus", hat_edges, tree.reach(hat_below, [(j, 1) for j in hat_roots], minus, False)),
-    )
+    edge_list, hat_edges, searches = tree.correspondence_searches(params, m)
+    (plus, minus), ends = searches(tables, 1)
     with _writer(rc["output"]) as line:
         line(f"# sigma k={params.k} root_mode={params.root_mode} depth={depth}")
         line(tree.config_text(edge_list, ("CO"[t] for t in tables)))
         line(f"# phi depth={m}")
         line(tree.config_text(hat_edges, ("0+-"[u + 2 * v] for u, v in zip(plus, minus))))
-        for label, path_edges, ends in witnesses:
-            witness = tree.first_path(path_edges, ends)
+        for label, path_edges, found in zip(("zebra-open", "zebra-closed", "plus", "minus"),
+                                            (edge_list, edge_list, hat_edges, hat_edges), ends):
+            witness = tree.first_path(path_edges, found)
             path = "none" if witness is None else " ".join(map(tree.format_address, witness))
             line(f"# witness {label}: {path}")
     return 0

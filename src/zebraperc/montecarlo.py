@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import enum
-import functools
 import itertools
 import math
 import os
@@ -34,10 +32,13 @@ from .analytic import CriticalPair, zebra_limit
 from .params import (
     BISECTION_TOL,
     MC_BISECTION_TOL,
+    EventKind,
+    EventSpec,
     NoBracketError,
     TooLargeError,
     TreeParams,
     check_probability,
+    zebra_ray,
 )
 from .rng import derive_seed, vertex_key
 
@@ -51,35 +52,6 @@ Z95 = 1.959963984540054
 #: Expected lanes one counting estimate may expand: eight to nine minutes at the
 #: walk's 1.9 M lanes/s (one core of a 2-core machine, k = 3, p = 1/2, depths 16-24).
 MAX_COUNT_LANES = 10**9
-
-
-class EventKind(enum.Enum):
-    OPEN_RAY = "open"
-    ZEBRA_RAY = "zebra"
-    ZEBRA_COUNT = "zebra-count"
-
-
-class EventSpec(namedtuple("EventSpec", "kind depth")):
-    """A depth-truncated percolation event from the root."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: EventKind, depth: int):
-        if depth < 1:
-            raise ValueError(f"event depth must be >= 1, got {depth}")
-        return super().__new__(cls, kind, depth)
-
-
-def open_ray(depth: int) -> EventSpec:
-    return EventSpec(EventKind.OPEN_RAY, depth)
-
-
-def zebra_ray(depth: int) -> EventSpec:
-    return EventSpec(EventKind.ZEBRA_RAY, depth)
-
-
-def zebra_count(depth: int) -> EventSpec:
-    return EventSpec(EventKind.ZEBRA_COUNT, depth)
 
 
 class Estimate(namedtuple("Estimate", "mean stderr ci95_low ci95_high trials seed")):
@@ -315,113 +287,6 @@ def _estimate(event: EventSpec, trials: int, seed: int, total: int, total_sq: in
         stderr = math.sqrt(var / trials)
         low, high = mean - Z95 * stderr, mean + Z95 * stderr
     return Estimate(mean, stderr, low, high, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive-enumeration oracle
-
-#: Codes judged per truth-table pass: the low ORACLE_BLOCK_BITS edges take every
-#: state inside a block of 2**ORACLE_BLOCK_BITS codes, the higher edges one.
-ORACLE_BLOCK_BITS = 16
-
-
-@functools.lru_cache(maxsize=None)
-def _block_tables(bits: int) -> tuple[int, ...]:
-    """Truth tables of the low `bits` edges over a block of 2**bits codes: bit c of table j is bit j of c.
-
-    Built by doubling: codes 2**j .. 2**(j+1)-1 repeat codes 0 .. 2**j-1 with
-    edge j set. Independent of the tree, the event and p, so one build serves
-    every oracle call.
-    """
-    tables: list[int] = []
-    for j in range(bits):
-        half = 1 << j
-        tables = [t | t << half for t in tables] + [((1 << half) - 1) << half]
-    return tuple(tables)
-
-
-@functools.lru_cache(maxsize=None)
-def _popcount_classes(bits: int) -> tuple[int, ...]:
-    """For h = 0 .. bits, the table of the codes of a block of 2**bits codes with h bits set.
-
-    Built by doubling: a code 2**j + c has one bit more than c, so
-    C'_h = C_h | C_{h-1} << 2**j.
-    """
-    classes = [1]
-    for j in range(bits):
-        classes = [low | high << (1 << j) for low, high in zip(classes + [0], [0] + classes)]
-    return tuple(classes)
-
-
-def _multiplicity_planes(params: TreeParams, event: EventSpec, n_edges: int, bits: int):
-    """Each block's multiplicities, every code of the block judged in one pass over the edges.
-
-    Blocks come in code order; block b holds the codes b * 2**bits + c for
-    c < 2**bits, and tree.reach runs on their truth tables. Yields per block
-    the popcount of b and the multiplicity planes: bit c of plane i is bit i
-    of the multiplicity of code c, 1 or 0 for a ray event and the number of
-    zebra-connected last-level edges for the counting event.
-    """
-    from . import tree
-
-    _, roots, below = tree.edge_lists(params, event.depth)
-    low = _block_tables(bits)
-    full = (1 << (1 << bits)) - 1
-    start = [(j, full) for j in roots]
-    alternate = event.kind is not EventKind.OPEN_RAY
-    count = event.kind is EventKind.ZEBRA_COUNT
-    for block in range(1 << (n_edges - bits)):
-        tables = low + tuple(full if block >> i & 1 else 0 for i in range(n_edges - bits))
-        ends = tree.reach(below, start, tables, alternate)
-        planes: list[int] = []
-        if count:
-            for _, carry in ends:  # bit-sliced ripple-carry add of one bit per code
-                for i, plane in enumerate(planes):
-                    planes[i], carry = plane ^ carry, plane & carry
-                if carry:
-                    planes.append(carry)
-        else:
-            planes.append(tree.any_reached(ends))
-        yield block.bit_count(), planes
-
-
-def brute_force_probability(
-    params: TreeParams, p: float, event: EventSpec, exact: bool = False
-):
-    """Event probability by summation over all configurations of the truncation.
-
-    For the counting event the exact expectation of X_n is returned instead of
-    a probability. The result is the correctly rounded exact sum for the
-    binary expansion of p = a / b, or with exact=True that sum as a Fraction:
-    a configuration with h of its n edges open weighs a**h * (b-a)**(n-h) /
-    b**n, so the multiplicities, tallied as integers by h, make one integer
-    numerator over b**n, divided once.
-
-    Configuration `code` runs over 0 .. 2**n - 1 in counting order, bit j of
-    `code` (least significant first) holding the state, 1 open, of edge j of
-    tree.edges. The truth tables of a block of codes go through tree.reach in
-    one big-int step per edge (_multiplicity_planes), and the multiplicities
-    are tallied by popcount class.
-    """
-    from . import tree
-
-    check_probability(p)
-    n_edges = tree.check_enumerable(params, event.depth)
-    bits = min(n_edges, ORACLE_BLOCK_BITS)
-    classes = _popcount_classes(bits)
-    tally = [0] * (n_edges + 1)
-    for high, planes in _multiplicity_planes(params, event, n_edges, bits):
-        for h, members in enumerate(classes):
-            tally[high + h] += sum((plane & members).bit_count() << i
-                                   for i, plane in enumerate(planes))
-    a, b = p.as_integer_ratio()
-    num = sum(mult * a**opens * (b - a) ** (n_edges - opens)
-              for opens, mult in enumerate(tally) if mult)
-    if exact:
-        from fractions import Fraction
-
-        return Fraction(num, b**n_edges)
-    return num / b**n_edges
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Shared parameter types for tree percolation computations.
+"""Types and constants that every route shares: the tree, the event, the solves.
+
+RootMode and TreeParams fix the tree; EventKind, EventSpec and its
+constructors open_ray, zebra_ray and zebra_count name a depth-truncated event,
+which the oracle (tree) and the estimators (montecarlo) both evaluate;
+SolverConfig and the tolerances configure the solves and the bisections, and
+check_probability validates a p.
 
 Records are namedtuple subclasses with empty __slots__: immutable, compared,
 hashed and printed by their fields, and cheap to create at import. Their
 __new__ validates the fields.
 
-TooLargeError and NoBracketError live here, and tree and montecarlo, which
-raise them, re-export them: the CLI maps them to exit codes 4 and 5 without
-importing those modules.
+TooLargeError and NoBracketError live here too, so that the CLI maps them to
+exit codes 4 and 5 without importing the modules that raise them. The package
+re-exports TooLargeError from tree and NoBracketError from montecarlo, as the
+same objects.
 """
 
 from __future__ import annotations
@@ -46,6 +53,35 @@ class TreeParams(namedtuple("TreeParams", "k root_mode")):
     @property
     def root_degree(self) -> int:
         return self.k + 1 if self.root_mode is RootMode.FULL_CAYLEY else self.k
+
+
+class EventKind(enum.Enum):
+    OPEN_RAY = "open"
+    ZEBRA_RAY = "zebra"
+    ZEBRA_COUNT = "zebra-count"
+
+
+class EventSpec(namedtuple("EventSpec", "kind depth")):
+    """A depth-truncated percolation event from the root."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: EventKind, depth: int):
+        if depth < 1:
+            raise ValueError(f"event depth must be >= 1, got {depth}")
+        return super().__new__(cls, kind, depth)
+
+
+def open_ray(depth: int) -> EventSpec:
+    return EventSpec(EventKind.OPEN_RAY, depth)
+
+
+def zebra_ray(depth: int) -> EventSpec:
+    return EventSpec(EventKind.ZEBRA_RAY, depth)
+
+
+def zebra_count(depth: int) -> EventSpec:
+    return EventSpec(EventKind.ZEBRA_COUNT, depth)
 
 
 class SolverConfig(namedtuple("SolverConfig", "tol max_iter")):

@@ -1,4 +1,4 @@
-"""Configurations of truncated rooted trees as truth tables, and the even-level pair transform.
+"""Configurations of truncated rooted trees as truth tables: the exhaustive oracle and the even-level pair transform.
 
 A vertex is a tuple of child indices (the root is the empty tuple) and an edge
 is identified by its lower endpoint. A configuration set is one truth table
@@ -6,6 +6,9 @@ per edge j of edges(params, depth), an int whose bit c is the edge's state, 1
 open, in configuration c; reach applies the path rule to all of them at once,
 walking the child-edge indices of edge_lists. A single configuration is a set
 of one-bit tables, as load_tables reads it and config_text writes it.
+
+brute_force_probability, the oracle, sums an event over every configuration
+of a small truncation, a block of codes per reach.
 
 The transform maps bond configurations on the order-k tree to signed
 configurations on the tree over its even levels, whose interior branching
@@ -16,11 +19,12 @@ truth tables the image is two tables per transformed edge, plus and minus
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .params import TooLargeError, TreeParams
+from .params import EventKind, EventSpec, TooLargeError, TreeParams, check_probability
 
 Address = tuple[int, ...]
 
@@ -177,6 +181,110 @@ def any_reached(ends: list[tuple[int, int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# exhaustive-enumeration oracle
+
+#: Codes judged per truth-table pass: the low ORACLE_BLOCK_BITS edges take every
+#: state inside a block of 2**ORACLE_BLOCK_BITS codes, the higher edges one.
+ORACLE_BLOCK_BITS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def block_tables(bits: int) -> tuple[int, ...]:
+    """Truth tables of the low `bits` edges over a block of 2**bits codes: bit c of table j is bit j of c.
+
+    Built by doubling: codes 2**j .. 2**(j+1)-1 repeat codes 0 .. 2**j-1 with
+    edge j set. Independent of the tree, the event and p, so one build serves
+    every oracle call; over all 2**n codes of an n-edge truncation they are
+    every configuration at once.
+    """
+    tables: list[int] = []
+    for j in range(bits):
+        half = 1 << j
+        tables = [t | t << half for t in tables] + [((1 << half) - 1) << half]
+    return tuple(tables)
+
+
+@functools.lru_cache(maxsize=None)
+def _popcount_classes(bits: int) -> tuple[int, ...]:
+    """For h = 0 .. bits, the table of the codes of a block of 2**bits codes with h bits set.
+
+    Built by doubling: a code 2**j + c has one bit more than c, so
+    C'_h = C_h | C_{h-1} << 2**j.
+    """
+    classes = [1]
+    for j in range(bits):
+        classes = [low | high << (1 << j) for low, high in zip(classes + [0], [0] + classes)]
+    return tuple(classes)
+
+
+def _multiplicity_planes(params: TreeParams, event: EventSpec, n_edges: int, bits: int):
+    """Each block's multiplicities, every code of the block judged in one pass over the edges.
+
+    Blocks come in code order; block b holds the codes b * 2**bits + c for
+    c < 2**bits, and reach runs on their truth tables. Yields per block the
+    popcount of b and the multiplicity planes: bit c of plane i is bit i of
+    the multiplicity of code c, 1 or 0 for a ray event and the number of
+    zebra-connected last-level edges for the counting event.
+    """
+    _, roots, below = edge_lists(params, event.depth)
+    low = block_tables(bits)
+    full = (1 << (1 << bits)) - 1
+    start = [(j, full) for j in roots]
+    alternate = event.kind is not EventKind.OPEN_RAY
+    count = event.kind is EventKind.ZEBRA_COUNT
+    for block in range(1 << (n_edges - bits)):
+        tables = low + tuple(full if block >> i & 1 else 0 for i in range(n_edges - bits))
+        ends = reach(below, start, tables, alternate)
+        planes: list[int] = []
+        if count:
+            for _, carry in ends:  # bit-sliced ripple-carry add of one bit per code
+                for i, plane in enumerate(planes):
+                    planes[i], carry = plane ^ carry, plane & carry
+                if carry:
+                    planes.append(carry)
+        else:
+            planes.append(any_reached(ends))
+        yield block.bit_count(), planes
+
+
+def brute_force_probability(
+    params: TreeParams, p: float, event: EventSpec, exact: bool = False
+):
+    """Event probability by summation over all configurations of the truncation.
+
+    For the counting event the exact expectation of X_n is returned instead of
+    a probability. The result is the correctly rounded exact sum for the
+    binary expansion of p = a / b, or with exact=True that sum as a Fraction:
+    a configuration with h of its n edges open weighs a**h * (b-a)**(n-h) /
+    b**n, so the multiplicities, tallied as integers by h, make one integer
+    numerator over b**n, divided once.
+
+    Configuration `code` runs over 0 .. 2**n - 1 in counting order, bit j of
+    `code` (least significant first) holding the state, 1 open, of edge j of
+    edges. The truth tables of a block of codes go through reach in one
+    big-int step per edge (_multiplicity_planes), and the multiplicities are
+    tallied by popcount class.
+    """
+    check_probability(p)
+    n_edges = check_enumerable(params, event.depth)
+    bits = min(n_edges, ORACLE_BLOCK_BITS)
+    classes = _popcount_classes(bits)
+    tally = [0] * (n_edges + 1)
+    for high, planes in _multiplicity_planes(params, event, n_edges, bits):
+        for h, members in enumerate(classes):
+            tally[high + h] += sum((plane & members).bit_count() << i
+                                   for i, plane in enumerate(planes))
+    a, b = p.as_integer_ratio()
+    num = sum(mult * a**opens * (b - a) ** (n_edges - opens)
+              for opens, mult in enumerate(tally) if mult)
+    if exact:
+        from fractions import Fraction
+
+        return Fraction(num, b**n_edges)
+    return num / b**n_edges
+
+
+# ---------------------------------------------------------------------------
 # the pair transform
 
 def _base_pair(params: TreeParams, hv: Address) -> tuple[Address, Address]:
@@ -205,27 +313,46 @@ def pair_transform(params: TreeParams, m: int):
     return base, hat, image
 
 
-def transform_check(params: TreeParams, m: int):
-    """The alternating-ray / constant-sign-path correspondence as a test on depth-2m truth tables.
+def correspondence_searches(params: TreeParams, m: int):
+    """The searches that the alternating-ray / constant-sign-path correspondence pairs, on depth-2m truth tables.
 
-    failures(tables, full) takes one table per edge of edges(params, 2m), bit
-    c the edge's state in configuration c, and `full`, the configurations
-    checked. It returns the configurations where an alternating ray of length
-    2m whose first edge is open exists and a length-m all-plus path in the
-    image (pair_transform) does not, or the other way round, and likewise
-    closed/minus.
+    Returns the edges of the depth-2m truncation, those of its depth-m image
+    (pair_transform) and searches(tables, full). That takes one table per base
+    edge, bit c the edge's state in configuration c, and `full`, the
+    configurations searched. It returns the image's plus and minus tables, and
+    reach's ends for four searches: alternating rays of length 2m whose first
+    edge is open, those whose first edge is closed, and length-m all-plus and
+    all-minus paths in the image. The correspondence pairs the first search
+    with the third and the second with the fourth.
     """
-    (_, roots, below), (_, hat_roots, hat_below), image = pair_transform(params, m)
+    (edge_list, roots, below), (hat_edges, hat_roots, hat_below), image = pair_transform(params, m)
+
+    def searches(tables, full: int):
+        plus, minus = image(tables)
+        hat_start = [(j, full) for j in hat_roots]
+        return (plus, minus), (
+            reach(below, [(j, tables[j]) for j in roots], tables, True),
+            reach(below, [(j, full & ~tables[j]) for j in roots], tables, True),
+            reach(hat_below, hat_start, plus, False),
+            reach(hat_below, hat_start, minus, False),
+        )
+
+    return edge_list, hat_edges, searches
+
+
+def transform_check(params: TreeParams, m: int):
+    """The correspondence as a test on depth-2m truth tables: failures(tables, full).
+
+    failures takes what correspondence_searches' searches takes. It returns
+    the configurations where an alternating ray of length 2m whose first edge
+    is open exists and a length-m all-plus path in the image does not, or the
+    other way round, and likewise closed/minus.
+    """
+    searches = correspondence_searches(params, m)[2]
 
     def failures(tables, full: int) -> int:
-        plus, minus = image(tables)
-        bad = 0
-        for first, signed in (([tables[j] for j in roots], plus),
-                              ([full & ~tables[j] for j in roots], minus)):
-            rays = reach(below, list(zip(roots, first)), tables, True)
-            paths = reach(hat_below, [(j, full) for j in hat_roots], signed, False)
-            bad |= any_reached(rays) ^ any_reached(paths)
-        return bad
+        zebra_open, zebra_closed, plus, minus = map(any_reached, searches(tables, full)[1])
+        return (zebra_open ^ plus) | (zebra_closed ^ minus)
 
     return failures
 

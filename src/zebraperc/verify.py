@@ -12,7 +12,7 @@ import contextlib
 
 from . import analytic
 from .cli import _VERIFY_FIELDS, CHOICES, _fmt, _grid, _resolve, _writer
-from .params import TreeParams
+from .params import TreeParams, open_ray, zebra_ray
 
 
 def _suite_closed_form() -> list[tuple[str, bool, str]]:
@@ -66,30 +66,24 @@ def _suite_inverse() -> list[tuple[str, bool, str]]:
 def _suite_oracle() -> list[tuple[str, bool, str]]:
     from fractions import Fraction
 
-    from . import montecarlo
+    from .tree import brute_force_probability
 
     params = TreeParams(k=2)
     results = []
     worst = 0.0
     for depth in (1, 2, 3):
         for p in (0.2, 0.5, 0.8):
-            zebra_exact = montecarlo.brute_force_probability(
-                params, p, montecarlo.zebra_ray(depth)
-            )
-            open_exact = montecarlo.brute_force_probability(
-                params, p, montecarlo.open_ray(depth)
-            )
+            zebra_exact = brute_force_probability(params, p, zebra_ray(depth))
+            open_exact = brute_force_probability(params, p, open_ray(depth))
             worst = max(
                 worst,
-                abs(zebra_exact - analytic.zebra_dp(params, p, depth)[depth].z),
+                abs(zebra_exact - analytic.zebra_dp_state(params, p, depth).z),
                 abs(open_exact - analytic.open_ray_probability(params, p, depth)),
             )
     results.append(
         ("oracle k=2 depths 1-3", worst < 1e-12, f"max |brute force - recursion| = {worst:.3e}")
     )
-    reference = montecarlo.brute_force_probability(
-        params, 0.5, montecarlo.zebra_ray(2), exact=True
-    )
+    reference = brute_force_probability(params, 0.5, zebra_ray(2), exact=True)
     results.append(
         (
             "oracle reference 15/16",
@@ -106,7 +100,7 @@ def _suite_transform() -> list[tuple[str, bool, str]]:
     params2 = TreeParams(k=2)
     n_edges = tree.edge_count(params2, 2)
     failures = tree.transform_check(params2, 1)
-    exhaustive_ok = not failures(montecarlo._block_tables(n_edges), (1 << (1 << n_edges)) - 1)
+    exhaustive_ok = not failures(tree.block_tables(n_edges), (1 << (1 << n_edges)) - 1)
     results = [("transform exhaustive k=2 depth=2", exhaustive_ok, "all 64 configurations")]
     checks = [
         ("k=2 depth=4", params2, 2, 16384),

@@ -816,12 +816,6 @@ class TestSurface:
 
 
 class TestStartup:
-    def test_event_kinds_are_the_montecarlo_kinds(self):
-        """cli copies the kinds, so that start-up need not import montecarlo."""
-        from zebraperc.montecarlo import EventKind
-
-        assert cli.EVENT_KINDS == tuple(kind.value for kind in EventKind)
-
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         code = ("import sys, zebraperc.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'numpy') or m.startswith('multiprocessing') "
@@ -856,6 +850,19 @@ class TestStartup:
         loaded = self.loaded_modules(argv)
         assert "zebraperc.kernel" in loaded
         assert "zebraperc.tree" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "2", "--p", "0.3", "--method", "brute-force", "--event", "zebra",
+         "--depth", "2"],
+        ["sweep", "--k", "2", "--methods", "brute-force,dp", "--event", "open", "--depth", "2",
+         "--steps", "3"],
+        ["verify", "--suite", "oracle"],
+        ["transform-demo", "--k", "2", "--input", str(DATA / "zebra-ray.sigma")],
+    ])
+    def test_exhaustive_command_leaves_the_sampling_layers_unloaded(self, argv):
+        loaded = self.loaded_modules(argv)
+        assert "zebraperc.tree" in loaded
+        assert sorted(loaded.intersection({"zebraperc.montecarlo", "zebraperc.kernel"})) == []
 
     @staticmethod
     def loaded_modules(argv) -> set:

@@ -21,16 +21,8 @@ from zebraperc.kernel import (
     ray_hits,
     zebra_counts,
 )
-from zebraperc.montecarlo import (
-    Z95,
-    Estimate,
-    estimate_event,
-    find_critical_mc,
-    open_ray,
-    wilson_interval,
-    zebra_count,
-    zebra_ray,
-)
+from zebraperc.montecarlo import Z95, Estimate, estimate_event, find_critical_mc, wilson_interval
+from zebraperc.params import open_ray, zebra_count, zebra_ray
 from zebraperc.rng import ROOT_KEY, TrialStream, child_key, mix64, vertex_key
 from zebraperc.tree import edges
 

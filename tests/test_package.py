@@ -25,14 +25,17 @@ EXPORTS = {
         "zebra_limit", "zebra_via_relation",
     ],
     "montecarlo": [
-        "Estimate", "EventKind", "EventSpec", "NoBracketError",
-        "brute_force_probability", "estimate_event", "find_critical_dp", "find_critical_mc",
-        "open_ray", "sample_tables", "wilson_interval", "zebra_count", "zebra_ray",
+        "Estimate", "NoBracketError", "estimate_event", "find_critical_dp", "find_critical_mc",
+        "sample_tables", "wilson_interval",
     ],
-    "params": ["FIXED_POINT_CONFIG", "LIMIT_CONFIG", "RootMode", "SolverConfig", "TreeParams"],
+    "params": [
+        "FIXED_POINT_CONFIG", "LIMIT_CONFIG", "EventKind", "EventSpec", "RootMode",
+        "SolverConfig", "TreeParams", "open_ray", "zebra_count", "zebra_ray",
+    ],
     "rng": ["TrialStream", "derive_seed"],
     "tree": [
-        "InvalidHatEdgeError", "TooLargeError", "children", "hat_edge_decompose", "level_size",
+        "InvalidHatEdgeError", "TooLargeError", "brute_force_probability", "children",
+        "hat_edge_decompose", "level_size",
     ],
 }
 

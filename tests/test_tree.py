@@ -1,15 +1,20 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zebraperc import RootMode, TreeParams
-from zebraperc.montecarlo import _block_tables, sample_tables
+from zebraperc import RootMode, TreeParams, tree
+from zebraperc.analytic import expected_zebra_count, open_ray_probability, zebra_dp
+from zebraperc.montecarlo import sample_tables
+from zebraperc.params import EventKind, EventSpec, open_ray, zebra_count, zebra_ray
 from zebraperc.rng import TrialStream
 from zebraperc.tree import (
     ROOT,
     InvalidHatEdgeError,
     TooLargeError,
+    block_tables,
+    brute_force_probability,
     check_enumerable,
     children,
     config_text,
@@ -29,6 +34,9 @@ from zebraperc.tree import (
     transform_check,
     vertices_at_level,
 )
+
+P2 = TreeParams(2)
+P3 = TreeParams(3)
 
 params_strategy = st.builds(
     TreeParams, st.integers(2, 4), st.sampled_from(list(RootMode))
@@ -81,13 +89,144 @@ class TestEnumeration:
             check_enumerable(TreeParams(3), 3)  # 39 edges
 
     def test_binary_counting_order(self):
-        tables = _block_tables(check_enumerable(TreeParams(2), 1))
+        tables = block_tables(check_enumerable(TreeParams(2), 1))
         assert [tuple(t >> code & 1 for t in tables) for code in range(4)] == [
             (0, 0), (1, 0), (0, 1), (1, 1),
         ]
 
     def test_deterministic(self):
-        assert _block_tables.__wrapped__(6) == _block_tables(6)
+        assert block_tables.__wrapped__(6) == block_tables(6)
+
+
+def witness_sum(params, p, event):
+    """The oracle's exact sum the long way: explicit configurations, each path judged in the test.
+
+    Configuration `code` opens edge j of tree.edges when bit j of code is set,
+    and each last-level address's root path is read from its states. The
+    oracle's float result must equal float() of this Fraction, its correct
+    rounding.
+    """
+    pf = Fraction(p)
+    edge_list = edges(params, event.depth)
+    n_edges = len(edge_list)
+    weights = [pf**h * (1 - pf) ** (n_edges - h) for h in range(n_edges + 1)]
+    ends = [v for v in edge_list if len(v) == event.depth]
+
+    def follows(states):
+        if event.kind is EventKind.OPEN_RAY:
+            return all(states)
+        return all(a != b for a, b in zip(states, states[1:]))
+
+    total = Fraction(0)
+    for code in range(1 << n_edges):
+        states = {e: code >> j & 1 for j, e in enumerate(edge_list)}
+        hits = sum(follows([states[v[:i]] for i in range(1, event.depth + 1)]) for v in ends)
+        mult = hits if event.kind is EventKind.ZEBRA_COUNT else int(hits > 0)
+        if mult:
+            total += mult * weights[code.bit_count()]
+    return total
+
+
+class TestBruteForce:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("params,depth", [
+        (P2, 1), (P2, 2), (P3, 1), (TreeParams(2, RootMode.FULL_CAYLEY), 1),
+    ])
+    def test_equals_witness_sum(self, params, depth, kind, exact):
+        event = EventSpec(kind, depth)
+        for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0):
+            value = brute_force_probability(params, p, event, exact=exact)
+            assert type(value) is (Fraction if exact else float)
+            want = witness_sum(params, p, event)
+            assert value == (want if exact else float(want))
+
+    @pytest.mark.parametrize("kind,p,exact", [
+        (EventKind.ZEBRA_COUNT, 0.8, False), (EventKind.ZEBRA_RAY, 0.5, True),
+    ])
+    def test_equals_witness_sum_on_2_pow_14_configs(self, kind, p, exact):
+        event = EventSpec(kind, 3)
+        value = brute_force_probability(P2, p, event, exact=exact)
+        assert type(value) is (Fraction if exact else float)
+        want = witness_sum(P2, p, event)
+        assert value == (want if exact else float(want))
+
+    def test_cap_is_checked_before_any_edge_is_listed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(tree, "edges", refuse)
+        with pytest.raises(TooLargeError):
+            brute_force_probability(P3, 0.5, zebra_ray(3))  # 39 edges
+
+    def test_exact_reference_value(self):
+        assert brute_force_probability(P2, 0.5, zebra_ray(2), exact=True) == Fraction(15, 16)
+
+    def test_open_ray_level_one(self):
+        assert brute_force_probability(P2, 0.5, open_ray(1)) == pytest.approx(0.75, abs=1e-15)
+
+    def test_zero_probability_cases(self):
+        assert brute_force_probability(P2, 0.0, zebra_ray(2)) == 0.0
+        assert brute_force_probability(P2, 1.0, zebra_ray(2)) == 0.0
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_matches_recursions(self, depth, p):
+        zebra_exact = brute_force_probability(P2, p, zebra_ray(depth))
+        assert zebra_exact == pytest.approx(zebra_dp(P2, p, depth)[depth].z, abs=1e-12)
+        open_exact = brute_force_probability(P2, p, open_ray(depth))
+        assert open_exact == pytest.approx(open_ray_probability(P2, p, depth), abs=1e-12)
+
+    def test_count_expectation(self):
+        value = brute_force_probability(P2, 0.3, zebra_count(2))
+        assert value == pytest.approx(expected_zebra_count(P2, 0.3, 2), abs=1e-12)
+
+    def test_full_cayley_mode(self):
+        params = TreeParams(2, RootMode.FULL_CAYLEY)
+        value = brute_force_probability(params, 0.5, zebra_ray(2))
+        assert value == pytest.approx(zebra_dp(params, 0.5, 2)[2].z, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("params,depth", [
+        (TreeParams(4), 2), (TreeParams(2, RootMode.FULL_CAYLEY), 3),  # 20 and 21 edges
+    ])
+    def test_several_blocks_match_the_recursions(self, params, depth, kind):
+        n_edges = edge_count(params, depth)
+        assert n_edges > tree.ORACLE_BLOCK_BITS
+        p = 0.3
+        want = {
+            EventKind.OPEN_RAY: lambda: open_ray_probability(params, p, depth),
+            EventKind.ZEBRA_RAY: lambda: zebra_dp(params, p, depth)[depth].z,
+            EventKind.ZEBRA_COUNT: lambda: expected_zebra_count(params, p, depth),
+        }[kind]()
+        event = EventSpec(kind, depth)
+        exact = brute_force_probability(params, p, event, exact=True)
+        assert float(exact) == pytest.approx(want, abs=1e-12)
+        # the float result is the exact sum, rounded once
+        assert brute_force_probability(params, p, event) == float(exact)
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("params,depth", [
+        (P2, 2), (P3, 1), (TreeParams(2, RootMode.FULL_CAYLEY), 2),
+    ])
+    def test_small_blocks_equal_witness_sum(self, monkeypatch, params, depth, kind, bits):
+        monkeypatch.setattr(tree, "ORACLE_BLOCK_BITS", bits)
+        event = EventSpec(kind, depth)
+        for p in (0.2, 1 / 3, 0.8):
+            want = witness_sum(params, p, event)
+            assert brute_force_probability(params, p, event, exact=True) == want
+            assert brute_force_probability(params, p, event) == float(want)
+
+    @pytest.mark.parametrize("bits", range(11))
+    def test_block_tables(self, bits):
+        tables = block_tables(bits)
+        codes = range(1 << bits)
+        assert [[t >> c & 1 for c in codes] for t in tables] == [
+            [c >> j & 1 for c in codes] for j in range(bits)]
+        classes = tree._popcount_classes(bits)
+        assert [[m >> c & 1 for c in codes] for m in classes] == [
+            [c.bit_count() == h for c in codes] for h in range(bits + 1)]
 
 
 class TestHatAddressing:
@@ -217,16 +356,14 @@ class TestWitnesses:
         for params in (TreeParams(2), TreeParams(3), TreeParams(2, RootMode.FULL_CAYLEY)):
             n_edges = edge_count(params, 2)
             full = (1 << (1 << n_edges)) - 1
-            assert transform_check(params, 1)(_block_tables(n_edges), full) == 0
+            assert transform_check(params, 1)(block_tables(n_edges), full) == 0
 
     def test_exhaustive_check_flags_a_wrong_transform(self, monkeypatch):
         """With the upper and lower base edges swapped, the check flags configurations."""
-        from zebraperc import tree
-
         decompose = tree.hat_edge_decompose
         monkeypatch.setattr(tree, "hat_edge_decompose", lambda *args: decompose(*args)[::-1])
         params = TreeParams(2)
-        bad = transform_check(params, 1)(_block_tables(edge_count(params, 2)), (1 << 64) - 1)
+        bad = transform_check(params, 1)(block_tables(edge_count(params, 2)), (1 << 64) - 1)
         assert bad.bit_count() == 42
 
     @pytest.mark.parametrize("params,depth,configs", [
@@ -303,8 +440,6 @@ class TestSerialization:
             load_tables("0,O\n", TreeParams(2))  # missing edge 1
 
     def test_load_counts_edges_before_listing_them(self, monkeypatch):
-        from zebraperc import tree
-
         def refuse(*args):
             raise AssertionError("an edge list was built")
 
