@@ -75,6 +75,17 @@ class TestCriticalValues:
         assert pair.p_low == pytest.approx((3 - math.sqrt(5)) / 6, abs=1e-15)
         assert pair.p_high == pytest.approx((3 + math.sqrt(5)) / 6, abs=1e-15)
 
+    @pytest.mark.parametrize("k", [*range(2, 11), *(10**e for e in range(2, 10))])
+    def test_zebra_pair_matches_60_digit_reference(self, k):
+        """Both roots within about one ulp, however large k: p_low does not cancel."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dk = Decimal(k)
+            low = (dk - (dk * dk - 4).sqrt()) / (2 * dk)
+            pair = zebra_critical_pair(TreeParams(k))
+            for value, ref in zip(pair, (low, 1 - low)):
+                assert abs(Decimal(value) - ref) <= Decimal("2.5e-16") * ref, (value, ref)
+
     @given(st.integers(2, 60))
     def test_pair_sums_to_one_and_solves_the_quadratic(self, k):
         pair = zebra_critical_pair(TreeParams(k))
@@ -170,6 +181,21 @@ class TestThetaClosedForm:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):
             theta_closed_form(4, 0.5)
+
+    @pytest.mark.parametrize("e", range(1, 16))
+    def test_k3_matches_60_digit_reference_near_one_third(self, e):
+        """3p - 1 does not cancel: full accuracy at p = 1/3 + 10^-e."""
+        p = 1 / 3 + 10.0**-e
+        with localcontext() as ctx:
+            ctx.prec = 60
+            d = Decimal(p)
+            ref = 2 * (3 * d - 1) / (d * (3 * d + (d * (4 - 3 * d)).sqrt()))
+            assert abs(Decimal(theta_closed_form(3, p)) - ref) <= Decimal("4e-16") * ref
+
+    def test_k3_zero_below_one_third_exactly(self):
+        third = 1 / 3  # just below 1/3: 3p - 1 < 0 exactly
+        assert theta_closed_form(3, third) == 0.0
+        assert theta_closed_form(3, math.nextafter(third, 1.0)) > 0.0
 
     def test_agreement_with_fixed_point(self):
         for k in (2, 3):
