@@ -87,13 +87,9 @@ def standard_critical(params: TreeParams) -> float:
 
 
 def zebra_critical_pair(params: TreeParams) -> CriticalPair:
-    """The two roots of k^2 p (1-p) = 1; they coincide at 1/2 for k = 2.
-
-    The lower root is taken as 2 / (k (k + sqrt(k^2 - 4))), which equals
-    (k - sqrt(k^2 - 4)) / (2k) but does not cancel as k grows.
-    """
+    """The two roots of k^2 p (1-p) = 1; they coincide at 1/2 for k = 2."""
     k = params.k
-    low = 2.0 / (k * (k + math.sqrt(k * k - 4.0)))
+    low = 2.0 / (k * (k + math.sqrt(k * k - 4.0)))  # (k - sqrt(k^2 - 4)) / 2k, uncancelled
     return CriticalPair(p_low=low, p_high=1.0 - low)
 
 
@@ -219,11 +215,7 @@ def theta_fixed_point(
 
 
 def theta_closed_form(k: int, p: float) -> float:
-    """Closed forms of the percolation function, known for k = 2 and k = 3.
-
-    2p - 1 is exact in floats; 3p - 1 is computed exactly and rounded once, as
-    in `_even_level_limit`, so that the value keeps full accuracy near 1/3.
-    """
+    """Closed forms of the percolation function, known for k = 2 and k = 3."""
     check_probability(p)
     if k == 2:
         if p <= 0.5:
@@ -233,7 +225,7 @@ def theta_closed_form(k: int, p: float) -> float:
         num, den = p.as_integer_ratio()
         if 3 * num <= den:
             return 0.0
-        excess = (3 * num - den) / den  # 3p - 1, rounded once
+        excess = (3 * num - den) / den  # 3p - 1, exact and rounded once; 2p - 1 is exact
         return 2.0 * excess / (p * (3.0 * p + math.sqrt(p * (4.0 - 3.0 * p))))
     raise UnsupportedOrderError(f"closed form known only for k in {{2, 3}}, got k={k}")
 

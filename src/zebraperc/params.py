@@ -1,19 +1,13 @@
-"""Types and constants that every route shares: the tree, the event, the solves.
+"""What every route shares: the tree (TreeParams), the event (EventSpec), the solves (SolverConfig).
 
-RootMode and TreeParams fix the tree; EventKind, EventSpec and its
-constructors open_ray, zebra_ray and zebra_count name a depth-truncated event,
-which the oracle (tree) and the estimators (montecarlo) both evaluate;
-SolverConfig and the tolerances configure the solves and the bisections, and
-check_probability validates a p.
+An EventSpec, built by open_ray, zebra_ray or zebra_count, is what the
+oracle (tree) and the estimators (montecarlo) both evaluate. Records are
+namedtuple subclasses with empty __slots__: immutable, compared, hashed and
+printed by their fields, and cheap to create at import. __new__ validates.
 
-Records are namedtuple subclasses with empty __slots__: immutable, compared,
-hashed and printed by their fields, and cheap to create at import. Their
-__new__ validates the fields.
-
-TooLargeError and NoBracketError live here too, so that the CLI maps them to
-exit codes 4 and 5 without importing the modules that raise them. The package
-re-exports TooLargeError from tree and NoBracketError from montecarlo, as the
-same objects.
+TooLargeError and NoBracketError live here, so that the CLI maps them to exit
+codes 4 and 5 without importing tree and montecarlo, which raise them; the
+package exports them from there, as the same objects.
 """
 
 from __future__ import annotations

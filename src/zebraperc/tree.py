@@ -1,4 +1,4 @@
-"""Configurations of truncated rooted trees as truth tables: the exhaustive oracle and the even-level pair transform.
+"""Truncated rooted trees as truth tables: the exhaustive oracle and the even-level pair transform.
 
 A vertex is a tuple of child indices (the root is the empty tuple) and an edge
 is identified by its lower endpoint. A configuration set is one truth table
@@ -102,12 +102,7 @@ def hat_to_base(params: TreeParams, hv: Address) -> Address:
 
     Each transformed index h expands into the child pair (h // k, h % k).
     """
-    k = params.k
-    out: list[int] = []
-    for h in hv:
-        out.append(h // k)
-        out.append(h % k)
-    return tuple(out)
+    return tuple(i for h in hv for i in divmod(h, params.k))
 
 
 def hat_edge_decompose(params: TreeParams, x: Address, z: Address) -> tuple[Address, Address]:
@@ -194,8 +189,7 @@ def block_tables(bits: int) -> tuple[int, ...]:
 
     Built by doubling: codes 2**j .. 2**(j+1)-1 repeat codes 0 .. 2**j-1 with
     edge j set. Independent of the tree, the event and p, so one build serves
-    every oracle call; over all 2**n codes of an n-edge truncation they are
-    every configuration at once.
+    every oracle call.
     """
     tables: list[int] = []
     for j in range(bits):
@@ -314,16 +308,16 @@ def pair_transform(params: TreeParams, m: int):
 
 
 def correspondence_searches(params: TreeParams, m: int):
-    """The searches that the alternating-ray / constant-sign-path correspondence pairs, on depth-2m truth tables.
+    """The four searches that the alternating-ray / constant-sign-path correspondence pairs.
 
     Returns the edges of the depth-2m truncation, those of its depth-m image
     (pair_transform) and searches(tables, full). That takes one table per base
     edge, bit c the edge's state in configuration c, and `full`, the
     configurations searched. It returns the image's plus and minus tables, and
-    reach's ends for four searches: alternating rays of length 2m whose first
-    edge is open, those whose first edge is closed, and length-m all-plus and
-    all-minus paths in the image. The correspondence pairs the first search
-    with the third and the second with the fourth.
+    reach's ends for alternating rays of length 2m whose first edge is open,
+    those whose first edge is closed, and length-m all-plus and all-minus
+    paths in the image: the correspondence pairs the first with the third and
+    the second with the fourth.
     """
     (edge_list, roots, below), (hat_edges, hat_roots, hat_below), image = pair_transform(params, m)
 
@@ -341,12 +335,10 @@ def correspondence_searches(params: TreeParams, m: int):
 
 
 def transform_check(params: TreeParams, m: int):
-    """The correspondence as a test on depth-2m truth tables: failures(tables, full).
-
-    failures takes what correspondence_searches' searches takes. It returns
-    the configurations where an alternating ray of length 2m whose first edge
-    is open exists and a length-m all-plus path in the image does not, or the
-    other way round, and likewise closed/minus.
+    """The correspondence as a test: failures(tables, full), on the arguments of
+    correspondence_searches' searches, returns the configurations where an
+    alternating ray with open first edge exists and an all-plus path does not,
+    or the other way round, and likewise closed/minus.
     """
     searches = correspondence_searches(params, m)[2]
 

@@ -19,17 +19,10 @@ def _suite_closed_form() -> list[tuple[str, bool, str]]:
     results = []
     for k in (2, 3):
         params = TreeParams(k=k)
-        worst = 0.0
-        for j in range(1, 201):
-            p = 1.0 / k + j * (1.0 - 1.0 / k) / 200
-            gap = abs(
-                analytic.theta_fixed_point(params, p)
-                - analytic.theta_closed_form(k, p)
-            )
-            worst = max(worst, gap)
-        results.append(
-            (f"closed-form k={k}", worst < 1e-9, f"max |fixed-point - closed-form| = {worst:.3e}")
-        )
+        worst = max(abs(analytic.theta_fixed_point(params, p) - analytic.theta_closed_form(k, p))
+                    for p in (1.0 / k + j * (1.0 - 1.0 / k) / 200 for j in range(1, 201)))
+        results.append((f"closed-form k={k}", worst < 1e-9,
+                        f"max |fixed-point - closed-form| = {worst:.3e}"))
     return results
 
 
@@ -69,29 +62,17 @@ def _suite_oracle() -> list[tuple[str, bool, str]]:
     from .tree import brute_force_probability
 
     params = TreeParams(k=2)
-    results = []
-    worst = 0.0
-    for depth in (1, 2, 3):
-        for p in (0.2, 0.5, 0.8):
-            zebra_exact = brute_force_probability(params, p, zebra_ray(depth))
-            open_exact = brute_force_probability(params, p, open_ray(depth))
-            worst = max(
-                worst,
-                abs(zebra_exact - analytic.zebra_dp_state(params, p, depth).z),
-                abs(open_exact - analytic.open_ray_probability(params, p, depth)),
-            )
-    results.append(
-        ("oracle k=2 depths 1-3", worst < 1e-12, f"max |brute force - recursion| = {worst:.3e}")
-    )
+    worst = max(max(abs(brute_force_probability(params, p, zebra_ray(depth))
+                        - analytic.zebra_dp_state(params, p, depth).z),
+                    abs(brute_force_probability(params, p, open_ray(depth))
+                        - analytic.open_ray_probability(params, p, depth)))
+                for depth in (1, 2, 3) for p in (0.2, 0.5, 0.8))
     reference = brute_force_probability(params, 0.5, zebra_ray(2), exact=True)
-    results.append(
-        (
-            "oracle reference 15/16",
-            reference == Fraction(15, 16),
-            f"exact P(alternating ray, depth 2, p=1/2) = {reference}",
-        )
-    )
-    return results
+    return [
+        ("oracle k=2 depths 1-3", worst < 1e-12, f"max |brute force - recursion| = {worst:.3e}"),
+        ("oracle reference 15/16", reference == Fraction(15, 16),
+         f"exact P(alternating ray, depth 2, p=1/2) = {reference}"),
+    ]
 
 
 def _suite_transform() -> list[tuple[str, bool, str]]:
