@@ -287,30 +287,28 @@ def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: d
     The mc rows come in grid order, so each grid position takes the next
     estimate of one montecarlo.estimate_grid stream over ps, and every mc row
     at that position shares it. The first mc row starts the stream, after its
-    option checks, and it closes on exit; a run without mc rows imports
-    nothing more.
+    option checks; a run without mc rows imports nothing more.
     """
-    with contextlib.ExitStack() as stack:
-        stream = []
+    stream = []
 
-        def estimate(event, trials, seed):
-            if not stream:
-                from . import montecarlo
+    def estimate(event, trials, seed):
+        if not stream:
+            from . import montecarlo
 
-                stream.append(stack.enter_context(contextlib.closing(montecarlo.estimate_grid(
-                    params, ps, event, trials, seed, _workers_from_env()))))
-            return next(stream[0])
+            stream.append(montecarlo.estimate_grid(params, ps, event, trials, seed,
+                                                   _workers_from_env()))
+        return next(stream[0])
 
-        def evaluate():
-            for p in ps:
-                once = functools.cache(estimate)
-                for method in methods:
-                    yield _evaluate_point(params, p, method, rc, once)
+    def evaluate():
+        for p in ps:
+            once = functools.cache(estimate)
+            for method in methods:
+                yield _evaluate_point(params, p, method, rc, once)
 
-        points = evaluate()
-        if rc["format"] == "json":
-            return _write_rows(rc["output"], None, (point.json_line() for point in points))
-        return _write_rows(rc["output"], CSV_HEADER, (point.csv_row() for point in points))
+    points = evaluate()
+    if rc["format"] == "json":
+        return _write_rows(rc["output"], None, (point.json_line() for point in points))
+    return _write_rows(rc["output"], CSV_HEADER, (point.csv_row() for point in points))
 
 
 # ---------------------------------------------------------------------------

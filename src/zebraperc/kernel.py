@@ -350,6 +350,7 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
     root_width, width = round_width(COUNT_LANES, root_degree), round_width(COUNT_LANES, k)
     rounds = Rounds(ps)
     counts = [Counter() for _ in ps]
+    index = []  # lane indices, grown to the widest round that keeps lanes
     bases = array("Q", bases)
     pending = {n: (array("Q", [ROOT_KEY]) * len(bases), bases,
                    array("H", bytes([(1 << len(ps)) - 1, 0])) * len(bases))}
@@ -371,17 +372,20 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
         else:
             states = _repeat(marks[1::2], arity)
             wanted = (_int(masks) & (_int(flags) ^ _int(states))).to_bytes(len(flags), "little")
-        owners = _repeat(owners, arity)
-        if remaining == 1:
+        if remaining == 1:  # a leaf lane's owner, boxed once for all of ps
+            owners = _repeat(owners.tolist(), arity)
             for bit, counter in zip(_BITS, counts):
                 counter.update(compress(owners, wanted.translate(bit)))
             continue
         if any(wanted):  # compress keeps the lanes of a nonzero mask
+            index += range(len(index), len(flags))
+            get = itemgetter(0, 0, *compress(index, wanted))  # [2:] as in ray_hits
             marks = bytearray(2 * len(flags))
             marks[0::2], marks[1::2] = wanted, flags
             store = pending.setdefault(remaining - 1, (array("Q"), array("Q"), array("H")))
-            for part, items in zip(store, (lane_keys(lanes), owners, array("H", marks))):
-                part.extend(compress(items, wanted))
+            for part, items in zip(store, (lane_keys(lanes), _repeat(owners, arity),
+                                           array("H", marks))):
+                part.extend(array(part.typecode, get(items)[2:]))  # sized once
     return counts
 
 

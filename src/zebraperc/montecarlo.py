@@ -7,12 +7,12 @@ depth-first search that stops each trial at its first witness, the counting
 event by a walk over the whole zebra cone. estimate_grid folds the outcomes
 of every event with integer merges, so estimates are identical for any worker
 count, any batch size and any execution order. It streams the estimates of a
-whole grid of one seed through one pool, in groups of consecutive points
-whose chunks carry the whole group, so the counting walk draws each bond word
-once for all of its points; estimate_event is its one-point call. The work
-of a search grows about linearly in depth, but the zebra cone grows
-geometrically between p_c1 and p_c2, so a counting estimate must fit a budget
-of expected lanes.
+whole grid of one seed in groups of consecutive points whose chunks, run in
+forked children and in the calling process, carry the whole group, so the
+counting walk draws each bond word once for all of its points;
+estimate_event is its one-point call. The work of a search grows about
+linearly in depth, but the zebra cone grows geometrically between p_c1 and
+p_c2, so a counting estimate must fit a budget of expected lanes.
 
 A bisection probe needs one bit, whether the estimate exceeds a level, so it
 runs its trials in one process and stops as soon as their count settles that
@@ -22,7 +22,6 @@ bit; find_critical_mc runs its two sides in parallel instead of its chunks.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import itertools
 import math
 import os
@@ -157,7 +156,7 @@ def _expected_lanes(params: TreeParams, p: float, n: int) -> float:
 
 
 def _resolve_workers(workers: int) -> int:
-    """The worker count, at most the CPUs this process may run on; 0 means all of them."""
+    """The processes of a _fork_map, at most the CPUs this one may run on; 0 means all of them."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
@@ -165,56 +164,67 @@ def _resolve_workers(workers: int) -> int:
     return min(workers, cpus) if workers > 0 else cpus
 
 
-def __getattr__(name: str):
-    """Import ProcessPoolExecutor on first use (PEP 562).
+def _fork_map(fn, jobs: list, workers: int) -> list:
+    """fn of each job, in job order. With more than one worker, more than one job and
+    os.fork (not on Windows), each job after the first runs in its own forked child (_child)
+    while this process runs job 0; every child is reaped, and killed first if job 0 raises.
+    The first failure in job order is raised, the one a serial run raises first."""
+    if _resolve_workers(workers) <= 1 or len(jobs) <= 1 or not hasattr(os, "fork"):
+        return list(map(fn, jobs))
+    import pickle  # here, so that a serial run does not load it
+    import signal
+    children, statuses, sent = [], [], None  # (pid, the read end of its pipe)
+    try:
+        for job in jobs[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(fn, job, write)
+            os.close(write)  # a later child must not hold it open
+            children.append((pid, os.fdopen(read, "rb")))
+        results = [fn(jobs[0])]
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            if sent is None:
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), status, data in zip(children, statuses, sent):
+        if status:
+            raise ChildProcessError(f"worker process {pid} sent no result: wait status {status}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
-    Importing concurrent.futures adds to the start-up of every command, and
-    only runs with more than one worker use the pool. Once imported, the class
-    is an ordinary module attribute, which _pool_class looks up on each call,
-    so a class set on the module in its place (say, one that counts pool
-    starts) is the one used.
-    """
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
 
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
-def _pool_class():
-    return globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-
-
-@contextlib.contextmanager
-def _chunk_map(workers: int, jobs: int):
-    """The map for `jobs` independent jobs: the builtin map for one process, else
-    the map of a pool of min(workers, jobs) processes, shut down on exit."""
-    size = min(_resolve_workers(workers), jobs)
-    if size <= 1:
-        yield map
-    else:
-        with _pool_class()(max_workers=size) as pool:
-            yield pool.map
+def _child(fn, job, write: int) -> None:
+    """Send (ok, result or exception) of fn(job) pickled on `write`, and leave by os._exit,
+    status 0 once sent: nothing of the parent's, such as buffered stdout, is flushed."""
+    try:
+        import pickle  # loaded by _fork_map before the fork
+        try:
+            sent = (True, fn(job))
+        except BaseException as exc:  # raised in the parent
+            sent = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(sent, pipe)
+        os._exit(0)
+    finally:  # nothing sent
+        os._exit(1)
 
 
-def estimate_event(
-    params: TreeParams,
-    p: float,
-    event: EventSpec,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> Estimate:
+def estimate_event(params: TreeParams, p: float, event: EventSpec, trials: int, seed: int,
+                   workers: int = 1) -> Estimate:
     """Hit rate with a Wilson 95% interval, or for the counting event mean X_n with a normal one.
 
     Trial t draws its bonds from the (seed, t) stream; the result is a pure
     function of (params, p, event, trials, seed) and `workers` only changes
-    wall time. This is estimate_grid at the one point p, its stream run to the
-    end, so no pool outlives the call: a tree whose vertices have more
-    children than a kernel round may span, and a counting estimate that
-    expects more than MAX_COUNT_LANES lanes, raise TooLargeError before any
-    bond is drawn.
+    wall time. This is estimate_grid at the one point p: a tree whose vertices
+    have more children than a kernel round may span, and a counting estimate
+    that expects more than MAX_COUNT_LANES lanes, raise TooLargeError before
+    any bond is drawn.
     """
     [estimate] = estimate_grid(params, [p], event, trials, seed, workers)
     return estimate
@@ -231,14 +241,8 @@ def _check_point(params: TreeParams, p: float, event: EventSpec, trials: int) ->
                                 f"{MAX_COUNT_LANES:.3g}")
 
 
-def estimate_grid(
-    params: TreeParams,
-    ps: list[float],
-    event: EventSpec,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-):
+def estimate_grid(params: TreeParams, ps: list[float], event: EventSpec, trials: int, seed: int,
+                  workers: int = 1):
     """Yield estimate_event at each p of the grid ps, in order.
 
     The grid runs in groups of at most kernel.GROUP consecutive points, whose
@@ -247,9 +251,8 @@ def estimate_grid(
     of them; an existence event runs one search per p. Each group's points
     are checked before any of its bonds are drawn, and the first refused
     point ends its group: the estimates before it are yielded, and its
-    refusal is raised in its place. One _chunk_map, opened for the first
-    group, serves every group and shuts down when the stream ends or is
-    closed.
+    refusal is raised in its place. Each group's chunks run through one
+    _fork_map, so no worker process outlives a group.
     """
     from . import kernel
 
@@ -257,23 +260,21 @@ def estimate_grid(
     workers = min(_resolve_workers(workers), trials)
     step = (trials + workers - 1) // workers
     spans = [(start, min(start + step, trials)) for start in range(0, trials, step)]
-    with contextlib.ExitStack() as stack:
-        run = None
-        for first in range(0, len(ps), kernel.GROUP):
-            group, refusal = ps[first:first + kernel.GROUP], None
-            for i, p in enumerate(group):
-                try:
-                    _check_point(params, p, event, trials)
-                except ValueError as exc:  # TooLargeError included
-                    group, refusal = group[:i], exc
-                    break
-            if group:
-                run = run or stack.enter_context(_chunk_map(workers, len(spans)))
-                parts = list(run(_chunk, [(params, group, event, seed, *span) for span in spans]))
-                for point in zip(*parts):
-                    yield _estimate(event, trials, seed, *map(sum, zip(*point)))
-            if refusal:
-                raise refusal
+    for first in range(0, len(ps), kernel.GROUP):
+        group, refusal = ps[first:first + kernel.GROUP], None
+        for i, p in enumerate(group):
+            try:
+                _check_point(params, p, event, trials)
+            except ValueError as exc:  # TooLargeError included
+                group, refusal = group[:i], exc
+                break
+        if group:
+            parts = _fork_map(_chunk, [(params, group, event, seed, *span) for span in spans],
+                              workers)
+            for point in zip(*parts):
+                yield _estimate(event, trials, seed, *map(sum, zip(*point)))
+        if refusal:
+            raise refusal
 
 
 def _estimate(event: EventSpec, trials: int, seed: int, total: int, total_sq: int) -> Estimate:
@@ -345,6 +346,9 @@ def _rate_above(params: TreeParams, p: float, depth: int, trials: int, seed: int
     from . import kernel
 
     need = _hits_needed(trials, tau)
+    if p == 0.0 and depth > 1:  # open_threshold(0) is 0, so no bond is open and no zebra
+        # path of 2+ edges exists; find_critical_mc probes depths 7+ (tau < 1), need >= 1
+        return need == 0
     misses_left = trials - need + 1
     hits = 0
     for bases in chunk_bases(params, seed, 0, trials):
@@ -357,14 +361,8 @@ def _rate_above(params: TreeParams, p: float, depth: int, trials: int, seed: int
     return hits >= need
 
 
-def find_critical_mc(
-    params: TreeParams,
-    depth: int,
-    trials: int,
-    seed: int,
-    tol: float = MC_BISECTION_TOL,
-    workers: int = 1,
-) -> CriticalPair:
+def find_critical_mc(params: TreeParams, depth: int, trials: int, seed: int,
+                     tol: float = MC_BISECTION_TOL, workers: int = 1) -> CriticalPair:
     """Monte-Carlo counterpart of find_critical_dp, a finite-depth proxy.
 
     Bisects the indicator 'estimated P(alternating ray to `depth`) above the
@@ -378,8 +376,8 @@ def find_critical_mc(
     bias. Probe i of each side draws from sub-seed derive_seed(seed, i), and
     _rate_above decides it exactly, so the search is reproducible. A probe
     stops once its answer is certain, so it runs all of its trials in one
-    process: with more than one worker the two sides run in a pool of two
-    processes, shut down when the search returns. Before any bond is drawn,
+    process: with more than one worker the upper side runs in a forked child
+    and the lower one in this process (_fork_map). Before any bond is drawn,
     depth or trials below 1 raise ValueError, a tree whose vertices have more
     children than a kernel round may span TooLargeError, and a detection level
     of 1 or more, which no estimate exceeds, NoBracketError.
@@ -391,8 +389,7 @@ def find_critical_mc(
         raise NoBracketError(f"no zebra-percolation transition detectable at depth {depth} "
                              f"for k={params.k}: the detection level {tau:.6g} is not below 1")
     jobs = [(params, depth, trials, seed, tau, tol, side) for side in SIDES]
-    with _chunk_map(workers, len(jobs)) as run:
-        return CriticalPair(*run(_mc_side, jobs))
+    return CriticalPair(*_fork_map(_mc_side, jobs, workers))
 
 
 def _mc_side(job) -> float:

@@ -292,33 +292,19 @@ class TestSweep:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("argv,lines", [
-        (["--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200", "--steps", "3"], 4),
-        (PINNED_SWEEPS["sweep-k3-full-cayley-open-depth6-seed7.out"], 19),
+    @pytest.mark.parametrize("argv,lines,groups", [
+        (["--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200", "--steps", "3"], 4, 1),
+        (PINNED_SWEEPS["sweep-k3-full-cayley-open-depth6-seed7.out"], 19, 3),
     ], ids=["one-group", "three-groups"])
-    def test_one_pool_per_mc_sweep(self, capsys, monkeypatch, argv, lines):
-        from zebraperc import montecarlo
-
-        base = montecarlo._pool_class()
-        starts, shut = [], []
-
-        class CountingPool(base):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-            def shutdown(self, *args, **kwargs):
-                shut.append(self)
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool, raising=False)
+    def test_one_fork_set_per_group(self, capsys, monkeypatch, fork_sets, argv, lines, groups):
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
             code, out, _ = run_cli(capsys, ["sweep", *argv])
             assert code == 0
             outputs.append(out)
-        assert starts == [2] and len(shut) == 1  # none at one thread, one for every group at two
+        # none at one thread, one child (two processes) for every group at two
+        assert [len(pids) for pids in fork_sets] == [0] * groups + [1] * groups
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == lines
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -864,8 +850,14 @@ class TestStartup:
         assert "zebraperc.tree" in loaded
         assert sorted(loaded.intersection({"zebraperc.montecarlo", "zebraperc.kernel"})) == []
 
+    def test_forked_command_loads_no_process_pool(self):
+        loaded = self.loaded_modules(["critical", "--mode", "zebra-mc", "--k", "3", "--depth",
+                                      "8", "--trials", "100"], ZEBRA_PERC_THREADS="2")
+        assert "zebraperc.kernel" in loaded
+        assert sorted(m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")) == []
+
     @staticmethod
-    def loaded_modules(argv) -> set:
+    def loaded_modules(argv, **env) -> set:
         """The modules loaded once the command has run in a fresh interpreter."""
         code = ("import json, runpy, sys\n"
                 f"sys.argv = ['zebraperc', *{argv!r}]\n"
@@ -875,13 +867,13 @@ class TestStartup:
                 "    assert exc.code == 0, exc.code\n"
                 "print(json.dumps(sorted(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=child_env())
+                              env=child_env(**env))
         assert proc.returncode == 0, proc.stderr
         return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 class TestThreadEnvironment:
-    #: Both thresholds of one bisection, one process pool at 2 threads.
+    #: Both thresholds of one bisection, the upper one in a forked child at 2 threads.
     CRITICAL_MC = ("k,mode,side,value,reference,abs_gap\n"
                    "3,zebra-mc,lower,0.216796875,0.12732200375,0.08947487125\n"
                    "3,zebra-mc,upper,0.771484375,0.87267799625,0.10119362125\n")
@@ -929,6 +921,15 @@ class TestThreadEnvironment:
             out, err = proc.communicate()
             assert proc.returncode == 0, err
             assert out == "k,mode,side,value,reference,abs_gap\n" + stdout
+
+    def test_forked_sweep_to_a_pipe_is_pinned(self):
+        # stdout is a pipe, so the parent's stdout is block-buffered when it forks
+        name = "sweep-k3-full-cayley-open-depth6-seed7.out"
+        proc = subprocess.run([sys.executable, "-m", "zebraperc", "sweep", *PINNED_SWEEPS[name]],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env(ZEBRA_PERC_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA / name).read_bytes()
 
     @pytest.mark.parametrize("raw,workers", [(None, 1), ("0", 0), ("1", 1), ("3", 3)])
     def test_thread_env_passes_the_count_on(self, monkeypatch, raw, workers):

@@ -377,21 +377,12 @@ class TestEstimatorBatches:
         assert self.estimates(params, p, zebra_count(n), seed) == pytest.approx(want, rel=1e-12)
 
 
-class TestOnePoolPerBisection:
-    def test_one_pool_serves_both_sides(self, monkeypatch):
-        base = montecarlo._pool_class()
-        starts = []
-
-        class CountingPool(base):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool, raising=False)
+class TestOneForkPerBisection:
+    def test_one_child_serves_the_upper_side(self, fork_sets):
         tol = 1 / 32
         params = TreeParams(3)
         located = find_critical_mc(params, 8, 300, 5, tol, workers=2)
-        assert starts == [2]
+        assert [len(pids) for pids in fork_sets] == [1]
         assert located == find_critical_mc(params, 8, 300, 5, tol, workers=1)
-        assert starts == [2]
+        assert [len(pids) for pids in fork_sets] == [1, 0]
         assert 0.0 < located.p_low < 0.5 < located.p_high < 1.0

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +300,20 @@ class TestExactDecision:
                 assert montecarlo._rate_above(params, p, depth, trials, seed,
                                               tau) is (mean > tau), (p, trials)
 
+    @pytest.mark.parametrize("mode", list(RootMode))
+    def test_zero_p_draws_no_bond(self, monkeypatch, mode):
+        # every bond is closed at p = 0, so no zebra path of two or more edges exists
+        def no_draw(*args, **kwargs):
+            raise AssertionError("bonds drawn at p = 0")
+
+        monkeypatch.setattr(kernel, "ray_hits", no_draw)
+        for k in (2, 3, 4):
+            params = TreeParams(k, mode)
+            for depth, tau in ((2, 0.001), (7, None), (12, None), (16, None)):
+                tau = tau or mc_indicator_threshold(params, depth)
+                for seed in (0, 5, 41):
+                    assert montecarlo._rate_above(params, 0.0, depth, 500, seed, tau) is False
+
 
 class TestGridStream:
     """estimate_grid streams a grid's estimates in groups of kernel.GROUP points."""
@@ -462,41 +477,24 @@ class TestNarrowRounds:
 
 
 class TestWorkerCap:
-    """However many workers are asked for, no more pool processes start than the
-    CPUs this process may run on; 0 asks for all of them."""
+    """However many workers are asked for, no more processes run than the CPUs
+    this process may run on; 0 asks for all of them."""
 
     @pytest.fixture
-    def sizes(self, monkeypatch):
-        """The size of each pool started, negated once the pool has shut down."""
-        sizes = []
-
-        class RecordingPool:
-            """Records its size and maps in this process, so no process starts."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                sizes[-1] = -sizes[-1]
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool, raising=False)
+    def sets(self, monkeypatch, fork_sets):
+        """The children of each fork map, on a machine of two CPUs."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        return sizes
+        return fork_sets
 
     @pytest.mark.parametrize("event", [zebra_ray(6), zebra_count(4)])
     @pytest.mark.parametrize("workers", [0, 2, 3, 5000])
-    def test_estimates_capped(self, sizes, event, workers):
+    def test_estimates_capped(self, sets, event, workers):
         one = estimate_event(P3, 0.5, event, 300, 5)
         assert estimate_event(P3, 0.5, event, 300, 5, workers=workers) == one
-        assert sizes == [-2]  # one pool of two, shut down when the estimate returns
+        assert [len(pids) for pids in sets] == [0, 1]  # none at one worker, then one child
 
-    def test_sweep_capped(self, sizes, monkeypatch, capsys):
+    def test_sweep_capped(self, sets, monkeypatch, capsys):
         argv = ["sweep", "--k", "3", "--methods", "mc", "--event", "zebra-count", "--depth", "6",
                 "--trials", "300", "--steps", "3", "--seed", "5"]
         outputs = []
@@ -504,9 +502,55 @@ class TestWorkerCap:
             monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
             assert cli.main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert sizes == [-2] and outputs[0] == outputs[1]
+        assert [len(pids) for pids in sets] == [0, 1] and outputs[0] == outputs[1]
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert [montecarlo._resolve_workers(w) for w in (0, 1, 3, 4, 5000)] == [3, 1, 3, 3, 3]
+
+
+class TestForkMap:
+    """Jobs in forked children: their results and failures reach the parent in job
+    order, and no child outlives a call (fork_sets checks that none is left)."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch, fork_sets):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        self.sets = fork_sets
+
+    @staticmethod
+    def job(n):
+        if n < 0:
+            raise ValueError(f"job {n} failed")
+        if n == 99:
+            os._exit(3)  # a child that dies without sending anything
+        if n == 1000:
+            time.sleep(60)  # a child that would outlive a failed parent
+        return n * n
+
+    def test_results_in_job_order(self):
+        assert montecarlo._fork_map(self.job, [3, 1, 2, 7], 4) == [9, 1, 4, 49]
+        assert [len(pids) for pids in self.sets] == [3]
+
+    def test_without_fork_the_jobs_run_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")  # as on Windows
+        assert montecarlo._fork_map(self.job, [3, 1, 2, 7], 4) == [9, 1, 4, 49]
+        with pytest.raises(ValueError, match="job -1 failed"):
+            montecarlo._fork_map(self.job, [3, -1, -2], 3)
+        assert self.sets == [[], []]
+
+    def test_a_child_exception_reaches_the_parent(self):
+        with pytest.raises(ValueError, match="job -1 failed"):
+            montecarlo._fork_map(self.job, [3, -1, -2], 3)  # the first failure in job order
+
+    def test_a_child_that_sends_nothing_is_named(self):
+        with pytest.raises(ChildProcessError, match="wait status 768"):
+            montecarlo._fork_map(self.job, [3, 99], 2)
+
+    def test_a_parent_failure_kills_its_children(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="job -3 failed"):
+            montecarlo._fork_map(self.job, [-3, 1000, 1000], 3)
+        assert time.monotonic() - start < 30
+        assert [len(pids) for pids in self.sets] == [2]
