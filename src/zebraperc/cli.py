@@ -438,10 +438,9 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
         if depth > 6:
             raise TooLargeError(f"transform demo supports depth <= 6, got {depth}")
         p, seed = _check_prob(rc, "p"), _check_int(rc, "seed", 0)
-        from . import montecarlo
-        from .rng import TrialStream
+        from . import kernel, montecarlo
 
-        tables = montecarlo.sample_tables(params, depth, p, [TrialStream(seed, 0).base])
+        tables = montecarlo.sample_tables(params, depth, p, kernel.trial_bases(seed, 0, 1))
     m = depth // 2
     edge_list, hat_edges, searches = tree.correspondence_searches(params, m)
     (plus, minus), ends = searches(tables, 1)

@@ -34,13 +34,13 @@ from operator import itemgetter, not_, sub
 from .params import TooLargeError, TreeParams
 from .rng import _GOLDEN, _MASK, _TO_UNIT, ROOT_KEY, mix64
 
-#: Trials searched together at most (see search_batch); a longer chunk runs
-#: in several batches. An existence search advances every trial of a batch in
-#: lockstep, so a batch must hold many trials to spread the fixed cost of a
-#: round; its per-trial stacks and its lanes grow with the batch.
+#: Vertices expanded per round of either walk at most (see round_width). An
+#: existence search expands one vertex of each trial of a batch per round, so
+#: this is also the trials it searches together (search_batch); a longer chunk
+#: runs in several batches. A batch advances its trials in lockstep, so it must
+#: hold many trials to spread the fixed cost of a round; its per-trial stacks
+#: and its lanes grow with the batch.
 TRIAL_BATCH = 1024
-#: Vertices expanded per round of the counting walk at most (see round_width).
-COUNT_LANES = 2048
 #: Lanes one round may span, unless one vertex's children alone span more. A
 #: search batch holds at most about MAX_ROUND_LANES x depth stack entries, and
 #: the counting walk's pool, expanded deepest first, about as many vertices.
@@ -58,10 +58,10 @@ _LOW = (1 << 56) - 1  # the bits of a word below its top byte
 _BITS = [bytes(b >> j & 1 for b in range(256)) for j in range(GROUP)]  # bit j of a byte
 
 
-def round_width(cap: int, arity: int) -> int:
+def round_width(arity: int) -> int:
     """Vertices per round of a walk whose vertices have `arity` children: at most
-    cap, and at most MAX_ROUND_LANES lanes, but one vertex at least."""
-    return max(1, min(cap, MAX_ROUND_LANES // arity))
+    TRIAL_BATCH, and at most MAX_ROUND_LANES lanes, but one vertex at least."""
+    return max(1, min(TRIAL_BATCH, MAX_ROUND_LANES // arity))
 
 
 def search_batch(params: TreeParams) -> int:
@@ -72,7 +72,7 @@ def search_batch(params: TreeParams) -> int:
     if arity > MAX_ROUND_LANES:
         raise TooLargeError(f"a vertex at k={params.k} has {arity} children, past the bound "
                             f"of {MAX_ROUND_LANES} lanes per round")
-    return round_width(TRIAL_BATCH, arity)
+    return round_width(arity)
 
 
 def open_threshold(p: float) -> int:
@@ -343,11 +343,11 @@ def zebra_counts(params: TreeParams, ps: Sequence[float], n: int,
     it, and a state byte, bit j its own edge's state at ps[j], side by side
     in one 'H' item; a child is pending when its mask is not empty. The
     pending vertices of all trials, roots included, are pooled by the edges
-    left below them and expanded deepest first, at most round_width(COUNT_LANES,
-    arity) per round, so the pool stays small.
+    left below them and expanded deepest first, at most round_width(arity) per
+    round, so the pool stays small.
     """
     k, root_degree = params.k, params.root_degree
-    root_width, width = round_width(COUNT_LANES, root_degree), round_width(COUNT_LANES, k)
+    root_width, width = round_width(root_degree), round_width(k)
     rounds = Rounds(ps)
     counts = [Counter() for _ in ps]
     index = []  # lane indices, grown to the widest round that keeps lanes

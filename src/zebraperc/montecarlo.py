@@ -48,8 +48,9 @@ from .rng import derive_seed, vertex_key
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 #: Normal quantile for two-sided 95% intervals.
 Z95 = 1.959963984540054
-#: Expected lanes one counting estimate may expand: eight to nine minutes at the
-#: walk's 1.9 M lanes/s (one core of a 2-core machine, k = 3, p = 1/2, depths 16-24).
+#: Expected lanes one counting estimate may expand: about four minutes at the
+#: walk's 3.6-4.4 M lanes/s (one core of a 2-core machine, Python 3.11, one p;
+#: k = 3, p = 1/2, depths 16, 20 and 24).
 MAX_COUNT_LANES = 10**9
 
 

@@ -30,7 +30,8 @@ def run_cli(capsys, argv):
 #: each the count of 1000 per-trial outcomes; eleven count points in two
 #: groups, between dp rows; 18 points in groups of 8, 8 and 2; one p nine
 #: times, across a group boundary; k = 1000, whose batch of 524 trials makes a
-#: first round of 524,000 lanes.
+#: first round of 524,000 lanes; counts at k = 300, whose 6,000 depth-1
+#: vertices are expanded 1,024 to a round, 307,200 lanes.
 PINNED_SWEEPS = {
     f"sweep-k3-{event}-depth8-seed11.out": [
         "--k", "3", "--methods", "mc", "--event", event, "--depth", "8", "--pmin", "0.2",
@@ -49,6 +50,9 @@ PINNED_SWEEPS = {
     "sweep-k1000-open-depth4-seed5.out": [
         "--k", "1000", "--methods", "mc", "--event", "open", "--depth", "4", "--pmin", "0.0008",
         "--pmax", "0.002", "--steps", "3", "--trials", "600", "--seed", "5"],
+    "sweep-k300-zebra-count-depth2-seed5.out": [
+        "--k", "300", "--methods", "mc", "--event", "zebra-count", "--depth", "2",
+        "--trials", "20", "--steps", "3", "--pmin", "0.3", "--pmax", "0.7", "--seed", "5"],
 }
 
 
@@ -405,6 +409,15 @@ class TestCritical:
         assert float(lower[3]) == pytest.approx(0.127322, abs=0.01)
         assert float(upper[3]) == pytest.approx(0.872678, abs=0.01)
         assert float(lower[5]) < 0.01
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--k", "3"], "critical-k3-zebra-dp.out"),
+        (["--k", "4", "--full-cayley"], "critical-k4-full-cayley-zebra-dp.out"),
+    ])
+    def test_zebra_dp_is_pinned(self, capsys, argv, name):
+        code, out, _ = run_cli(capsys, ["critical", "--mode", "zebra-dp", *argv])
+        assert code == 0
+        assert out == (DATA / name).read_text()
 
 
 class TestVerify:

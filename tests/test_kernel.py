@@ -9,7 +9,6 @@ import pytest
 from zebraperc import RootMode, TreeParams, montecarlo
 from zebraperc.analytic import zebra_critical_pair
 from zebraperc.kernel import (
-    COUNT_LANES,
     GROUP,
     TRIAL_BATCH,
     OpenTable,
@@ -260,7 +259,7 @@ class TestAgainstRecursiveSearch:
         params, p, n = TreeParams(3), 0.5, 8
         bases = bases_of(2, 300)
         [counts] = zebra_counts(params, [p], n, bases)
-        assert sum(counts.values()) > 4 * COUNT_LANES
+        assert sum(counts.values()) > 8 * TRIAL_BATCH
         for t in range(300):
             assert counts.get(bases[t], 0) == ref_zebra_count(params, p, n, TrialStream(2, t))
 

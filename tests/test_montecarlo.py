@@ -454,8 +454,9 @@ class TestRoundWidth:
 
 
 class TestNarrowRounds:
-    """Rounds narrowed by a low MAX_ROUND_LANES give the full-width results: the
-    estimates of all three events, a probe's decision and both thresholds."""
+    """Rounds narrowed by a low MAX_ROUND_LANES or a small TRIAL_BATCH give the
+    full-width results: the estimates of all three events, a probe's decision
+    and both thresholds."""
 
     @staticmethod
     def results(params):
@@ -467,12 +468,15 @@ class TestNarrowRounds:
             [find_critical_mc(params, 8, 100, 5, 1 / 16, workers) for workers in (1, 2)],
         )
 
-    @pytest.mark.parametrize("lanes", [4, 29, 100])
+    @pytest.mark.parametrize("bound,value", [
+        *(pytest.param("MAX_ROUND_LANES", lanes, id=str(lanes)) for lanes in (4, 29, 100)),
+        *(pytest.param("TRIAL_BATCH", batch, id=f"batch-{batch}") for batch in (1, 7, 100)),
+    ])
     @pytest.mark.parametrize("mode", list(RootMode))
-    def test_narrow_rounds_equal_full_rounds(self, monkeypatch, mode, lanes):
+    def test_narrow_rounds_equal_full_rounds(self, monkeypatch, mode, bound, value):
         params = TreeParams(3, mode)
         full = self.results(params)
-        monkeypatch.setattr(kernel, "MAX_ROUND_LANES", lanes)
+        monkeypatch.setattr(kernel, bound, value)
         assert self.results(params) == full
 
 
