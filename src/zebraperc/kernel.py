@@ -28,6 +28,7 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import itemgetter, not_, sub
 
@@ -397,17 +398,22 @@ def trial_bases(seed: int, first: int, last: int) -> list[int]:
     return lane_keys(mixed.to_bytes(len(words), "little")).tolist()
 
 
-#: The edge keys, lane mask and key lanes of edge_flags' last batch, kept for
-#: the next batch of those edges and that size.
-_flag_lanes: tuple[tuple[int, ...], int, int, int] = ((), 0, 0, 0)
-
-
 def _lanes_int(buf: array) -> int:
     """The words of buf as one int, word i in bits [64i, 64i + 64), so that a
     16-byte lane holds buf[2j] and then buf[2j + 1]."""
     if _SWAP:
         buf.byteswap()
     return int.from_bytes(buf, "little")
+
+
+#: The lane mask and key lanes of edge_flags for the edges keys in each of trials
+#: trials, lane t*len(keys) + j holding keys[j]; the last batch's are kept for the
+#: next batch of those edges and that size.
+@lru_cache(maxsize=1)
+def _key_lanes(keys: tuple[int, ...], trials: int) -> tuple[int, int]:
+    lanes = array("Q", bytes(_LANE * len(keys) * trials))
+    lanes[0::2] = array("Q", keys) * trials
+    return lane_mask(len(keys) * trials), _lanes_int(lanes)
 
 
 def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytearray:
@@ -417,13 +423,8 @@ def edge_flags(p: float, keys: Sequence[int], bases: Sequence[int]) -> bytearray
     is 1 when edge j is open in the trial with base word bases[t]: the
     OpenTable of [p] at its bond word mix64(bases[t] ^ keys[j]).
     """
-    global _flag_lanes
     edges, n = len(keys), len(keys) * len(bases)
-    if _flag_lanes[:2] != (tuple(keys), n):
-        lanes = array("Q", bytes(_LANE * n))  # lane t*edges + j holds keys[j]
-        lanes[0::2] = array("Q", keys) * len(bases)
-        _flag_lanes = (tuple(keys), n, lane_mask(n), _lanes_int(lanes))
-    _, _, mask, key_lanes = _flag_lanes
+    mask, key_lanes = _key_lanes(tuple(keys), len(bases))
     lanes = array("Q", bytes(_LANE * n))  # lane t*edges + j holds bases[t]
     bases = array("Q", bases)
     for j in range(edges):

@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import os
-import pathlib
 import subprocess
 import sys
 import time
@@ -16,6 +15,8 @@ from zebraperc.analytic import NonConvergenceError
 from zebraperc.cli import CSV_HEADER, main
 from zebraperc.tree import edges
 
+from pins import DATA, PINS, ROOT
+
 
 def run_cli(capsys, argv):
     try:
@@ -26,34 +27,12 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-#: Committed mc sweeps, by file under tests/data: existence estimates at five p,
-#: each the count of 1000 per-trial outcomes; eleven count points in two
-#: groups, between dp rows; 18 points in groups of 8, 8 and 2; one p nine
-#: times, across a group boundary; k = 1000, whose batch of 524 trials makes a
-#: first round of 524,000 lanes; counts at k = 300, whose 6,000 depth-1
-#: vertices are expanded 1,024 to a round, 307,200 lanes.
-PINNED_SWEEPS = {
-    f"sweep-k3-{event}-depth8-seed11.out": [
-        "--k", "3", "--methods", "mc", "--event", event, "--depth", "8", "--pmin", "0.2",
-        "--pmax", "0.8", "--steps", "5", "--trials", "1000", "--seed", "11"]
-    for event in ("open", "zebra")
-} | {
-    "sweep-k3-zebra-count-dp-depth6-seed5.out": [
-        "--k", "3", "--methods", "mc,dp", "--event", "zebra-count", "--depth", "6",
-        "--trials", "300", "--pmin", "0.3", "--pmax", "0.7", "--steps", "11", "--seed", "5"],
-    "sweep-k3-full-cayley-open-depth6-seed7.out": [
-        "--k", "3", "--full-cayley", "--methods", "mc", "--event", "open", "--depth", "6",
-        "--trials", "400", "--pmin", "0.2", "--pmax", "0.6", "--steps", "18", "--seed", "7"],
-    "sweep-k3-zebra-repeated-p-depth8-seed2.out": [
-        "--k", "3", "--methods", "mc", "--event", "zebra", "--depth", "8", "--trials", "500",
-        "--pmin", "0.4", "--pmax", "0.4", "--steps", "9", "--seed", "2"],
-    "sweep-k1000-open-depth4-seed5.out": [
-        "--k", "1000", "--methods", "mc", "--event", "open", "--depth", "4", "--pmin", "0.0008",
-        "--pmax", "0.002", "--steps", "3", "--trials", "600", "--seed", "5"],
-    "sweep-k300-zebra-count-depth2-seed5.out": [
-        "--k", "300", "--methods", "mc", "--event", "zebra-count", "--depth", "2",
-        "--trials", "20", "--steps", "3", "--pmin", "0.3", "--pmax", "0.7", "--seed", "5"],
-}
+#: The argv of each pinned command line, by file under tests/data.
+ARGV = dict(PINS)
+
+#: The pinned zebra-mc bisections: each runs at 1 and 2 threads as two processes
+#: side by side, the other pins in-process.
+SIDE_BY_SIDE = [name for name, argv in PINS if argv[:3] == ["critical", "--mode", "zebra-mc"]]
 
 
 def child_env(**extra):
@@ -297,14 +276,14 @@ class TestSweep:
         assert out1 == out2
 
     @pytest.mark.parametrize("argv,lines,groups", [
-        (["--k", "3", "--methods", "mc", "--depth", "6", "--trials", "200", "--steps", "3"], 4, 1),
-        (PINNED_SWEEPS["sweep-k3-full-cayley-open-depth6-seed7.out"], 19, 3),
+        ("sweep --k 3 --methods mc --depth 6 --trials 200 --steps 3".split(), 4, 1),
+        (ARGV["sweep-k3-full-cayley-open-depth6-seed7.out"], 19, 3),
     ], ids=["one-group", "three-groups"])
     def test_one_fork_set_per_group(self, capsys, monkeypatch, fork_sets, argv, lines, groups):
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
-            code, out, _ = run_cli(capsys, ["sweep", *argv])
+            code, out, _ = run_cli(capsys, argv)
             assert code == 0
             outputs.append(out)
         # none at one thread, one child (two processes) for every group at two
@@ -312,18 +291,10 @@ class TestSweep:
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == lines
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
-    def test_mc_sweeps_are_pinned(self, capsys, monkeypatch, name, threads):
-        monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
-        code, out, _ = run_cli(capsys, ["sweep", *PINNED_SWEEPS[name]])
-        assert code == 0
-        assert out == (DATA / name).read_text()
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_repeated_mc_method_repeats_each_row(self, capsys, monkeypatch, threads):
         """Both mc rows at a grid point carry that point's estimate, across groups."""
         name = "sweep-k3-full-cayley-open-depth6-seed7.out"
-        argv = ["sweep", *PINNED_SWEEPS[name]]
+        argv = [*ARGV[name]]
         argv[argv.index("--methods") + 1] = "mc,mc"
         monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
         code, out, _ = run_cli(capsys, argv)
@@ -383,7 +354,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "_grid", lambda *args: Unsearchable(grid(*args)))
         monkeypatch.delenv("ZEBRA_PERC_THREADS", raising=False)
         name = "sweep-k3-zebra-count-dp-depth6-seed5.out"
-        code, out, _ = run_cli(capsys, ["sweep", *PINNED_SWEEPS[name]])
+        code, out, _ = run_cli(capsys, ARGV[name])
         assert code == 0
         assert out == (DATA / name).read_text()
 
@@ -409,15 +380,6 @@ class TestCritical:
         assert float(lower[3]) == pytest.approx(0.127322, abs=0.01)
         assert float(upper[3]) == pytest.approx(0.872678, abs=0.01)
         assert float(lower[5]) < 0.01
-
-    @pytest.mark.parametrize("argv,name", [
-        (["--k", "3"], "critical-k3-zebra-dp.out"),
-        (["--k", "4", "--full-cayley"], "critical-k4-full-cayley-zebra-dp.out"),
-    ])
-    def test_zebra_dp_is_pinned(self, capsys, argv, name):
-        code, out, _ = run_cli(capsys, ["critical", "--mode", "zebra-dp", *argv])
-        assert code == 0
-        assert out == (DATA / name).read_text()
 
 
 class TestVerify:
@@ -525,8 +487,6 @@ class TestOracleOutput:
         assert run_cli(capsys, command)[:2] == run_cli(capsys, command + ["--exact"])[:2]
 
 
-DATA = pathlib.Path(__file__).parent / "data"
-
 #: sha256 of transform-demo's stdout at seeds 0-9, concatenated in seed order,
 #: by k, root mode and depth.
 DEMO_SHA256 = {
@@ -597,12 +557,6 @@ class TestTransformDemo:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == DEMO_SHA256[k, mode, depth]
-
-    def test_sampled_stdout_is_the_committed_file(self, capsys):
-        code, out, _ = run_cli(capsys, ["transform-demo", "--k", "3", "--full-cayley",
-                                        "--depth", "4", "--seed", "5"])
-        assert code == 0
-        assert out == (DATA / "demo-k3-full-cayley-depth4-seed5.out").read_text()
 
     @pytest.mark.parametrize("name", list(DEMO_INPUTS))
     def test_input_is_pinned(self, capsys, monkeypatch, tmp_path, name):
@@ -885,60 +839,42 @@ class TestStartup:
         return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-class TestThreadEnvironment:
-    #: Both thresholds of one bisection, the upper one in a forked child at 2 threads.
-    CRITICAL_MC = ("k,mode,side,value,reference,abs_gap\n"
-                   "3,zebra-mc,lower,0.216796875,0.12732200375,0.08947487125\n"
-                   "3,zebra-mc,upper,0.771484375,0.87267799625,0.10119362125\n")
+class TestPins:
+    """Every command line of tests/pins.py prints its committed stdout at 1 and 2 threads."""
 
-    def test_thread_env_does_not_change_output(self, tmp_path):
-        sweep = ["sweep", "--k", "3", "--methods", "mc", "--event", "zebra", "--depth", "8",
-                 "--pmin", "0.2", "--pmax", "0.8", "--steps", "4", "--trials", "1000",
-                 "--seed", "11"]
-        critical = ["critical", "--k", "3", "--mode", "zebra-mc", "--depth", "8",
-                    "--trials", "300", "--seed", "5"]
-        for argv in (sweep, critical):
-            outputs = set()
-            for threads in ("1", "2"):
-                proc = subprocess.run([sys.executable, "-m", "zebraperc", *argv],
-                                      capture_output=True, text=True,
-                                      env=child_env(ZEBRA_PERC_THREADS=threads))
-                assert proc.returncode == 0, proc.stderr
-                outputs.add(proc.stdout)
-            assert len(outputs) == 1
-        assert outputs == {self.CRITICAL_MC}
-        assert (DATA / "critical-k3-zebra-mc-depth8-seed5.out").read_text() == self.CRITICAL_MC
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", [name for name, _ in PINS if name not in SIDE_BY_SIDE])
+    def test_in_process(self, capsys, monkeypatch, name, threads):
+        monkeypatch.setenv("ZEBRA_PERC_THREADS", threads)
+        monkeypatch.chdir(ROOT)  # the transform-demo pin reads its fixture by relative path
+        code, out, _ = run_cli(capsys, ARGV[name])
+        assert code == 0
+        assert out == (DATA / name).read_text()
 
-    # the two benchmark commands and two --full-cayley ones, decided probe by probe
-    @pytest.mark.parametrize("argv,stdout", [
-        (["--k", "3", "--depth", "16", "--trials", "2000", "--seed", "3"],
-         "3,zebra-mc,lower,0.146484375,0.12732200375,0.01916237125\n"
-         "3,zebra-mc,upper,0.853515625,0.87267799625,0.01916237125\n"),
-        (["--k", "4", "--depth", "12", "--trials", "2000", "--seed", "3"],
-         (DATA / "critical-k4-zebra-mc-depth12-seed3.out").read_text().split("\n", 1)[1]),
-        (["--full-cayley", "--k", "3", "--depth", "10", "--trials", "700", "--seed", "41"],
-         "3,zebra-mc,lower,0.154296875,0.12732200375,0.02697487125\n"
-         "3,zebra-mc,upper,0.841796875,0.87267799625,0.03088112125\n"),
-        (["--full-cayley", "--k", "3", "--depth", "16", "--trials", "2000", "--seed", "7"],
-         (DATA / "critical-k3-full-cayley-zebra-mc-depth16-seed7.out").read_text()
-         .split("\n", 1)[1]),
-    ], ids=["k3-depth16", "k4-depth12", "full-cayley-k3", "full-cayley-k3-depth16"])
-    def test_critical_mc_stdout_at_one_and_two_threads(self, argv, stdout):
+    @pytest.mark.parametrize("name", SIDE_BY_SIDE)
+    def test_side_by_side(self, name):
         # both runs at once: a 2-core machine has room for them side by side
-        procs = [subprocess.Popen([sys.executable, "-m", "zebraperc", "critical",
-                                   "--mode", "zebra-mc", *argv],
-                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        procs = [subprocess.Popen([sys.executable, "-m", "zebraperc", *ARGV[name]],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                   env=child_env(ZEBRA_PERC_THREADS=threads))
                  for threads in ("1", "2")]
         for proc in procs:
             out, err = proc.communicate()
             assert proc.returncode == 0, err
-            assert out == "k,mode,side,value,reference,abs_gap\n" + stdout
+            assert out == (DATA / name).read_bytes()
 
+    def test_every_committed_output_is_pinned_once(self):
+        names = sorted(name for name, _ in PINS)
+        assert names == sorted(path.name for path in DATA.glob("*.out"))
+        others = [path.name for path in DATA.iterdir() if path.suffix != ".out"]
+        assert others == ["zebra-ray.sigma"]
+
+
+class TestThreadEnvironment:
     def test_forked_sweep_to_a_pipe_is_pinned(self):
         # stdout is a pipe, so the parent's stdout is block-buffered when it forks
         name = "sweep-k3-full-cayley-open-depth6-seed7.out"
-        proc = subprocess.run([sys.executable, "-m", "zebraperc", "sweep", *PINNED_SWEEPS[name]],
+        proc = subprocess.run([sys.executable, "-m", "zebraperc", *ARGV[name]],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env=child_env(ZEBRA_PERC_THREADS="2"))
         assert proc.returncode == 0, proc.stderr
