@@ -340,12 +340,18 @@ def expected_zebra_count(params: TreeParams, p: float, n: int) -> float:
 
 
 def open_ray_probability(params: TreeParams, p: float, n: int) -> float:
-    """Exact probability of a descending all-open path of length n from the root."""
+    """Exact probability of a descending all-open path of length n from the root.
+
+    Stops at the first exact repeat of the branch value, which every later
+    step would leave as it is, as zebra_dp_state does for its (a, b).
+    """
     check_probability(p)
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     k = params.k
     s = 1.0
     for _ in range(n - 1):
-        s = 1.0 - (1.0 - p * s) ** k
+        s, last = 1.0 - (1.0 - p * s) ** k, s
+        if s == last:
+            break
     return 1.0 - (1.0 - p * s) ** params.root_degree

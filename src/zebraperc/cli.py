@@ -2,7 +2,9 @@
 
 stdout carries data only (CSV or JSON lines); stderr carries the resolved
 configuration and human messages. Identical command lines produce
-byte-identical stdout regardless of ZEBRA_PERC_THREADS.
+byte-identical stdout regardless of ZEBRA_PERC_THREADS. Every option, from a
+flag or from --config, is checked before the first value is computed, so a
+run refused with exit 2 writes nothing.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid configuration,
 3 non-convergence, 4 too large / unsupported order, 5 no bracket.
@@ -44,22 +46,35 @@ CSV_HEADER = "k,root_mode,p,depth,method,value,ci_low,ci_high,trials,seed"
 
 #: Fields that take one of a fixed set of strings, from a flag or from --config.
 CHOICES = {
+    "root_mode": tuple(mode.value for mode in RootMode),
     "method": ("closed-form", "fixed-point", "dp", "relation", "mc", "brute-force"),
     "event": tuple(kind.value for kind in EventKind),
     "format": ("csv", "json"),
     "mode": ("standard", "zebra-dp", "zebra-mc"),
     "suite": ("closed-form", "inverse", "oracle", "transform", "relation", "all"),
 }
-#: Numeric fields, checked where they are used; `exact` is a boolean and every
-#: other field a string.
-_TYPES = {
-    "k": int, "p": float, "pmin": float, "pmax": float, "steps": int, "depth": int,
-    "trials": int, "seed": int, "tol": float, "max_iter": int,
+#: Numeric fields, from a flag or from --config: the type, the closed range a
+#: value must lie in, and what a refusal asks for. `exact` is a boolean and
+#: every other field a string.
+NUMBERS = {
+    **{name: (int, low, math.inf, f"integer >= {low}") for name, low in (
+        ("k", 2), ("steps", 1), ("depth", 0), ("trials", 1), ("seed", 0), ("max_iter", 1))},
+    **{name: (float, 0.0, 1.0, "a probability in [0, 1]") for name in ("p", "pmin", "pmax")},
+    "tol": (float, math.ulp(0.0), sys.float_info.max, "a positive finite number"),
+}
+#: What a value of each checked field must be, as a refusal words it.
+_WANT = {
+    **{name: "one of " + ", ".join(values) for name, values in CHOICES.items()},
+    **{name: want for name, (*_, want) in NUMBERS.items()},
+    "exact": "true or false",
 }
 _HELP = {
-    **{name: "one of " + ", ".join(values) for name, values in CHOICES.items()},
-    "k": "branching order (>= 2)",
+    **_WANT,
+    "k": "branching order, integer >= 2",
     "root_mode": "root has k+1 children instead of k",
+    "event": _WANT["event"] + "; read by the methods dp, mc and brute-force",
+    "depth": "truncation depth, read by the methods dp (0: the depth limit of a ray), mc and "
+    "brute-force, by critical --mode zebra-mc and by transform-demo",
     "output": "write the data to this file instead of stdout; verify writes "
     "the relation suite's deviation CSV there, and without it none",
     "methods": "comma-separated method list",
@@ -111,11 +126,13 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, fields: dict) -> dict:
-    """Merge flag values over config-file values over defaults.
+    """Merge flag values over config-file values over defaults, and check each one.
 
-    Every value that is not numeric is checked here, whichever source it came
-    from: a choice must be one of CHOICES, `exact` a boolean, and any other
-    field a string or unset. Numbers are checked where they are used.
+    Every value is checked here, whichever source it came from and whether or
+    not the command's method reads it: a choice must be one of CHOICES, a
+    number lie in its NUMBERS range, `exact` be a boolean and any other field a
+    string. A field without a default may stay unset. Numbers come back as
+    their NUMBERS type, so later code reads rc[...] as valid.
     """
     file_cfg = _load_config_file(getattr(args, "config", None))
     unknown = set(file_cfg) - set(fields)
@@ -132,26 +149,27 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
             out[name] = default
     print(f"config: {json.dumps(out, sort_keys=True, default=str)}", file=sys.stderr)
     for name, value in out.items():
-        if name in CHOICES:  # a choice without a default may stay unset
-            ok, want = value in CHOICES[name] or value is fields[name] is None, _HELP[name]
+        if value is fields[name] is None:
+            continue
+        if name in CHOICES:
+            ok = value in CHOICES[name]
+        elif name in NUMBERS:
+            kind, low, high, _ = NUMBERS[name]
+            ok = ((_is_int(value) or kind is float and isinstance(value, float))
+                  and low <= value <= high)
+            out[name] = kind(value) if ok else value
         elif name == "exact":
-            ok, want = isinstance(value, bool), "true or false"
+            ok = isinstance(value, bool)
         else:
-            ok, want = name in _TYPES or value is None or isinstance(value, str), "a string"
+            ok = isinstance(value, str)
         if not ok:
-            raise ConfigError(f"--{name.replace('_', '-')}: {want} required, got {value!r}")
+            raise ConfigError(f"--{name.replace('_', '-')}: {_WANT.get(name, 'a string')} "
+                              f"required, got {value!r}")
     return out
 
 
 def _tree_params(rc: dict) -> TreeParams:
-    k = rc["k"]
-    if not _is_int(k) or k < 2:
-        raise ConfigError(f"--k: branching order must be an integer >= 2, got {k}")
-    mode = rc["root_mode"]
-    try:
-        return TreeParams(k=k, root_mode=RootMode(mode))
-    except ValueError as exc:
-        raise ConfigError(f"--root-mode: {exc}") from exc
+    return TreeParams(rc["k"], RootMode(rc["root_mode"]))
 
 
 def _is_int(value) -> bool:
@@ -159,40 +177,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_prob(rc: dict, name: str) -> float:
-    value = rc[name]
-    if value is None:
-        raise ConfigError(f"--{name}: a probability in [0, 1] is required")
-    if not (_is_int(value) or isinstance(value, float)) or not 0.0 <= float(value) <= 1.0:
-        raise ConfigError(f"--{name}: must lie in [0, 1], got {value}")
-    return float(value)
-
-
-def _check_int(rc: dict, name: str, minimum: int) -> int:
-    value = rc[name]
-    if not _is_int(value) or value < minimum:
-        raise ConfigError(f"--{name}: integer >= {minimum} required, got {value}")
-    return value
-
-
-def _tol(rc: dict, default: float) -> float:
-    """--tol over the solve's default."""
-    tol = rc["tol"]
-    if tol is None:
-        return default
-    if not (_is_int(tol) or isinstance(tol, float)) or not 0.0 < tol < math.inf:
-        raise ConfigError(f"--tol: a positive finite number required, got {tol}")
-    return tol
-
-
 def _solver_cfg(rc: dict, default: SolverConfig) -> SolverConfig:
-    """--tol and --max-iter over the solve's defaults."""
-    tol, max_iter = _tol(rc, default.tol), rc["max_iter"]
-    if max_iter is None:
-        max_iter = default.max_iter
-    elif not _is_int(max_iter) or max_iter < 1:
-        raise ConfigError(f"--max-iter: integer >= 1 required, got {max_iter}")
-    return SolverConfig(tol=tol, max_iter=max_iter)
+    """--tol and --max-iter over the solve's defaults; both are positive when set."""
+    return SolverConfig(tol=rc["tol"] or default.tol, max_iter=rc["max_iter"] or default.max_iter)
+
+
+def _event_depth(rc: dict) -> int:
+    """--depth as the depth of an event, which spans at least one edge."""
+    if rc["depth"] < 1:
+        raise ConfigError(f"--depth: integer >= 1 required, got {rc['depth']}")
+    return rc["depth"]
 
 
 def _workers_from_env() -> int:
@@ -234,27 +228,30 @@ def _writer(path: str | None):
 def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
                     estimate) -> CurvePoint:
     depth = trials = seed = 0
+    event_name = rc["event"]
     if method == "closed-form":
-        if params.root_mode is not RootMode.ROOTED_K:
-            raise ConfigError("--method: closed-form supports the rooted-k mode only")
         value = analytic.theta_closed_form(params.k, p)
     elif method == "fixed-point":
         value = analytic.theta_fixed_point(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG))
     elif method == "relation":
         value = analytic.zebra_via_relation(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG))
-    elif method == "dp":
-        depth = _check_int(rc, "depth", 0)
-        if depth > 0:
+    elif method == "dp":  # depth 0 is the depth limit of either ray event
+        depth = rc["depth"]
+        if event_name == "zebra-count":
+            value = analytic.expected_zebra_count(params, p, depth)
+        elif event_name == "open":
+            value = (analytic.open_ray_probability(params, p, depth) if depth else
+                     analytic.theta_fixed_point(params, p, _solver_cfg(rc, FIXED_POINT_CONFIG)))
+        elif depth:
             value = analytic.zebra_dp_state(params, p, depth).z
         else:
             value = analytic.zebra_limit(params, p, _solver_cfg(rc, LIMIT_CONFIG))
+        method = "dp" if event_name == "zebra" else f"dp-{event_name}"
     else:
-        event_name = rc["event"]
-        depth = _check_int(rc, "depth", 1)
+        depth = rc["depth"]
         event = EventSpec(EventKind(event_name), depth)
         if method == "mc":
-            trials = _check_int(rc, "trials", 1)
-            seed = _check_int(rc, "seed", 0)
+            trials, seed = rc["trials"], rc["seed"]
             est = estimate(event, trials, seed)
             return CurvePoint(params.k, params.root_mode, p, depth, f"mc-{event_name}",
                               est.mean, est.ci95_low, est.ci95_high, trials, seed)
@@ -269,8 +266,9 @@ def _evaluate_point(params: TreeParams, p: float, method: str, rc: dict,
 def _write_rows(output: str | None, header: str | None, rows) -> int:
     """Write the header, if any, and one line per row of the iterator `rows`.
 
-    The first row is computed before the output is opened, so a run that
-    fails on it writes nothing: no header on stdout and no file.
+    The first row is computed before the output is opened, and every option
+    is checked before that, so a refused run writes nothing: no header on
+    stdout and no file. A run that fails on a later row keeps the rows before.
     """
     first = next(rows)
     with _writer(output) as line:
@@ -284,19 +282,26 @@ def _write_rows(output: str | None, header: str | None, rows) -> int:
 def _write_points(params: TreeParams, ps: list[float], methods: list[str], rc: dict) -> int:
     """Evaluate every method at every p, in that order, and write one record each.
 
+    What each method asks of the options beyond their ranges, an event's depth
+    and closed-form's root mode, is checked once, before the first value.
     The mc rows come in grid order, so each grid position takes the next
     estimate of one montecarlo.estimate_grid stream over ps, and every mc row
-    at that position shares it. The first mc row starts the stream, after its
-    option checks; a run without mc rows imports nothing more.
+    at that position shares it. The first mc row starts the stream; a run
+    without mc rows imports nothing more.
     """
+    if "closed-form" in methods and params.root_mode is not RootMode.ROOTED_K:
+        raise ConfigError("--method: closed-form supports the rooted-k mode only")
+    if {"mc", "brute-force"}.intersection(methods) or (
+            "dp" in methods and rc["event"] == "zebra-count"):
+        _event_depth(rc)
+    workers = _workers_from_env() if "mc" in methods else 1
     stream = []
 
     def estimate(event, trials, seed):
         if not stream:
             from . import montecarlo
 
-            stream.append(montecarlo.estimate_grid(params, ps, event, trials, seed,
-                                                   _workers_from_env()))
+            stream.append(montecarlo.estimate_grid(params, ps, event, trials, seed, workers))
         return next(stream[0])
 
     def evaluate():
@@ -323,11 +328,10 @@ _EVAL_FIELDS = {
 
 def cmd_eval(args: argparse.Namespace) -> int:
     rc = _resolve(args, _EVAL_FIELDS)
-    params = _tree_params(rc)
-    p = _check_prob(rc, "p")
-    if rc["method"] is None:
-        raise ConfigError("--method: required")
-    return _write_points(params, [p], [rc["method"]], rc)
+    for name in ("p", "method"):
+        if rc[name] is None:
+            raise ConfigError(f"--{name}: required")
+    return _write_points(_tree_params(rc), [rc["p"]], [rc["method"]], rc)
 
 
 _SWEEP_FIELDS = {
@@ -348,16 +352,14 @@ def _grid(pmin: float, pmax: float, steps: int) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rc = _resolve(args, _SWEEP_FIELDS)
-    params = _tree_params(rc)
-    pmin, pmax = _check_prob(rc, "pmin"), _check_prob(rc, "pmax")
+    pmin, pmax = rc["pmin"], rc["pmax"]
     if pmin > pmax:
         raise ConfigError(f"--pmin: must not exceed --pmax, got {pmin} > {pmax}")
-    steps = _check_int(rc, "steps", 1)
     methods = [m.strip() for m in (rc["methods"] or "").split(",") if m.strip()]
     if not methods or any(m not in CHOICES["method"] for m in methods):
         raise ConfigError(f"--methods: a comma-separated list of names from "
                           f"{', '.join(CHOICES['method'])} required, got {rc['methods']!r}")
-    return _write_points(params, _grid(pmin, pmax, steps), methods, rc)
+    return _write_points(_tree_params(rc), _grid(pmin, pmax, rc["steps"]), methods, rc)
 
 
 # No --max-iter: bisection halves a fixed bracket until it is narrower than --tol.
@@ -380,12 +382,11 @@ def _critical_rows(params: TreeParams, rc: dict):
     from . import montecarlo
 
     if mode == "zebra-dp":
-        located = montecarlo.find_critical_dp(params, tol=_tol(rc, BISECTION_TOL))
+        located = montecarlo.find_critical_dp(params, tol=rc["tol"] or BISECTION_TOL)
     else:
         located = montecarlo.find_critical_mc(
-            params, tol=_tol(rc, MC_BISECTION_TOL), depth=_check_int(rc, "depth", 1),
-            trials=_check_int(rc, "trials", 1), seed=_check_int(rc, "seed", 0),
-            workers=_workers_from_env())
+            params, tol=rc["tol"] or MC_BISECTION_TOL, depth=_event_depth(rc),
+            trials=rc["trials"], seed=rc["seed"], workers=_workers_from_env())
     for side, value, ref in zip(("lower", "upper"), located, analytic.zebra_critical_pair(params)):
         yield f"{params.k},{mode},{side},{_fmt(value)},{_fmt(ref)},{_fmt(abs(value - ref))}"
 
@@ -432,15 +433,15 @@ def cmd_transform_demo(args: argparse.Namespace) -> int:
         if depth % 2 or depth > 6:
             raise ConfigError(f"--input: fixture depth {depth} unsupported")
     else:
-        depth = _check_int(rc, "depth", 2)
-        if depth % 2:
-            raise ConfigError(f"--depth: even depth required, got {depth}")
+        depth = rc["depth"]
+        if depth < 2 or depth % 2:
+            raise ConfigError(f"--depth: an even integer >= 2 required, got {depth}")
         if depth > 6:
             raise TooLargeError(f"transform demo supports depth <= 6, got {depth}")
-        p, seed = _check_prob(rc, "p"), _check_int(rc, "seed", 0)
         from . import kernel, montecarlo
 
-        tables = montecarlo.sample_tables(params, depth, p, kernel.trial_bases(seed, 0, 1))
+        tables = montecarlo.sample_tables(params, depth, rc["p"],
+                                          kernel.trial_bases(rc["seed"], 0, 1))
     m = depth // 2
     edge_list, hat_edges, searches = tree.correspondence_searches(params, m)
     (plus, minus), ends = searches(tables, 1)
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif name == "exact":
                 sp.add_argument("--exact", action="store_const", const=True, help=_HELP[name])
             else:
-                sp.add_argument("--" + name.replace("_", "-"), type=_TYPES.get(name),
+                sp.add_argument("--" + name.replace("_", "-"), type=NUMBERS.get(name, (None,))[0],
                                 help=_HELP.get(name))
     return parser
 

@@ -24,6 +24,10 @@ PINS = [(name, command.split()) for name, command in [
     ("sweep-k3-open-depth8-seed11.out",
      "sweep --k 3 --methods mc --event open --depth 8 --pmin 0.2 --pmax 0.8 --steps 5 "
      "--trials 1000 --seed 11"),
+    # the same existence estimates beside the exact open-ray recursion's values
+    ("sweep-k3-open-mc-dp-depth8-seed11.out",
+     "sweep --k 3 --methods mc,dp --event open --depth 8 --pmin 0.2 --pmax 0.8 --steps 5 "
+     "--trials 1000 --seed 11"),
     ("sweep-k3-zebra-depth8-seed11.out",
      "sweep --k 3 --methods mc --event zebra --depth 8 --pmin 0.2 --pmax 0.8 --steps 5 "
      "--trials 1000 --seed 11"),
@@ -34,7 +38,8 @@ PINS = [(name, command.split()) for name, command in [
     ("sweep-k3-zebra-count-depth10-seed3.out",
      "sweep --k 3 --methods mc --event zebra-count --depth 10 --trials 1000 --pmin 0.3 "
      "--pmax 0.7 --steps 5 --seed 3"),
-    # eleven count points in two groups, split at the eight-point group, between dp rows
+    # eleven count points in two groups, split at the eight-point group, between the
+    # exact expected counts
     ("sweep-k3-zebra-count-dp-depth6-seed5.out",
      "sweep --k 3 --methods mc,dp --event zebra-count --depth 6 --trials 300 --pmin 0.3 "
      "--pmax 0.7 --steps 11 --seed 5"),

@@ -452,6 +452,23 @@ class TestCountsAndRays:
         assert 4 * Fraction(9, 4) ** 873 > Fraction(2) ** 1023
         assert value == pytest.approx(float(exact), rel=1e-12)
 
+    @pytest.mark.parametrize("params", [TreeParams(k, mode) for k in (2, 3, 7)
+                                        for mode in RootMode])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3334, 0.5, 0.9, 1.0])
+    def test_open_ray_probability_equals_the_full_iteration(self, params, p):
+        """Stopped at the first exact repeat of the branch value, every depth is
+        the value of all n - 1 steps."""
+        values, s = [], 1.0
+        for _ in range(3000):
+            values.append(1.0 - (1.0 - p * s) ** params.root_degree)
+            s = 1.0 - (1.0 - p * s) ** params.k
+        assert [open_ray_probability(params, p, n) for n in range(1, 3001)] == values
+
+    def test_open_ray_probability_in_constant_time_past_the_repeat(self):
+        # at k = 3, p = 1/2 the 62nd step repeats the branch value
+        assert open_ray_probability(TreeParams(3), 0.5, 10**12) == \
+            open_ray_probability(TreeParams(3), 0.5, 63)
+
     def test_open_ray_probability(self):
         assert open_ray_probability(TreeParams(2), 0.5, 1) == 0.75
         assert open_ray_probability(TreeParams(2), 1.0, 7) == 1.0

@@ -88,6 +88,27 @@ class TestEval:
                                        "0.986844382504,0.986844382504,0,0")
         assert peak < 2**20  # a list of the 200,001 states takes tens of MB
 
+    @pytest.mark.parametrize("event,depth,row", [
+        ("zebra", "3", "3,dp,0.994362289886"),
+        ("open", "3", "3,dp-open,0.795674710867"),
+        ("open", "0", "0,dp-open,0.7639320225"),  # theta_3(1/2), the open-ray depth limit
+        ("zebra-count", "6", "6,dp-zebra-count,22.78125"),  # 3 (9/4)^3 2/3
+    ])
+    def test_dp_reads_the_event(self, capsys, event, depth, row):
+        code, out, _ = run_cli(capsys, ["eval", "--k", "3", "--p", "0.5", "--method", "dp",
+                                        "--event", event, "--depth", depth])
+        assert code == 0
+        value = row.rsplit(",", 1)[1]
+        assert out.splitlines()[1] == f"3,rooted-k,0.5,{row},{value},{value},0,0"
+
+    def test_dp_open_at_a_depth_past_the_repeat(self, capsys):
+        """The 62nd step repeats the branch value exactly, and the recursion stops there."""
+        code, out, _ = run_cli(capsys, ["eval", "--k", "3", "--p", "0.5", "--method", "dp",
+                                        "--event", "open", "--depth", "1000000"])
+        assert code == 0
+        assert out.splitlines()[1] == ("3,rooted-k,0.5,1000000,dp-open,0.7639320225,"
+                                       "0.7639320225,0.7639320225,0,0")
+
     def test_mc_is_deterministic(self, capsys):
         argv = ["eval", "--k", "2", "--p", "0.5", "--method", "mc", "--event",
                 "zebra", "--depth", "2", "--trials", "5000", "--seed", "7"]
@@ -214,6 +235,24 @@ class TestExitCodes:
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(capsys, argv + ["--output", str(path)])
         assert code == 4 and out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        ("sweep --k 3 --methods dp,mc --depth 4 --trials 0 --steps 3", "--trials"),
+        ("sweep --k 3 --methods fixed-point,dp --depth -1 --steps 3", "--depth"),
+        ("sweep --k 3 --methods dp,mc --depth 0 --steps 3", "--depth"),
+        ("sweep --k 3 --methods dp --event zebra-count --steps 3", "--depth"),
+        ("sweep --k 3 --methods dp,closed-form --full-cayley --steps 3", "--method"),
+        # an option the mode does not read is checked all the same
+        ("critical --mode standard --k 3 --trials 0", "--trials"),
+    ])
+    def test_refusal_for_a_later_row_writes_nothing(self, capsys, tmp_path, argv, field):
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(f"error: {field}: ")
+        path = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, argv.split() + ["--output", str(path)])
+        assert (code, out) == (2, "")
         assert not path.exists()
 
     def test_no_bracket(self, capsys):
@@ -357,6 +396,12 @@ class TestSweep:
         code, out, _ = run_cli(capsys, ARGV[name])
         assert code == 0
         assert out == (DATA / name).read_text()
+
+    def test_open_ray_dp_rows_leave_the_mc_rows_as_they_are(self):
+        beside = (DATA / "sweep-k3-open-mc-dp-depth8-seed11.out").read_text().splitlines()
+        alone = (DATA / "sweep-k3-open-depth8-seed11.out").read_text().splitlines()
+        assert [beside[0], *beside[1::2]] == alone
+        assert {row.split(",")[4] for row in beside[2::2]} == {"dp-open"}
 
     def test_unknown_method(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--k", "2", "--methods", "magic"])
@@ -667,6 +712,7 @@ class TestConfigPrecedence:
         ["eval", "--k", "3", "--p", "0.5", "--method", "dp"],
         ["critical", "--k", "3", "--mode", "zebra-dp"],
         ["critical", "--k", "3", "--mode", "zebra-mc", "--depth", "2", "--trials", "10"],
+        ["critical", "--k", "3", "--mode", "standard"],  # which reads no solver setting
     ])
     def test_solver_settings_validated(self, capsys, tmp_path, config, field, argv):
         cfg = tmp_path / "run.json"
@@ -699,6 +745,7 @@ class TestConfigPrecedence:
         (["transform-demo"], {"input": 0}, "--input"),
         (["transform-demo"], {"seed": "x"}, "--seed"),
         (["sweep", "--methods", "dp", "--steps", "2"], {"format": None}, "--format"),
+        (["eval", "--method", "dp"], {"p": 0.5, "root_mode": "x"}, "--root-mode"),
     ])
     def test_config_values_of_the_wrong_type(self, tmp_path, argv, config, field):
         # A child process: unchecked, an integer --output is opened as a file descriptor.
@@ -902,3 +949,7 @@ class TestThreadEnvironment:
                                         "--trials", "10", "--seed", "0"])
         assert code == 2
         assert "ZEBRA_PERC_THREADS" in err
+        # read before the first row, even when that row is not an mc row
+        code, out, _ = run_cli(capsys, ["sweep", "--k", "2", "--methods", "dp,mc", "--depth",
+                                        "2", "--trials", "10", "--steps", "2"])
+        assert (code, out) == (2, "")
